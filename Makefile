@@ -2,7 +2,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test test-all fmt bench-smoke bench-interp bench-profiles bench-harness bench-adaptive bench-serve cache-smoke crash-smoke adaptive-smoke serve-smoke trace-smoke merge-smoke ci clean
+.PHONY: all build test test-all fmt bench-smoke bench-interp bench-profiles bench-harness bench-adaptive bench-serve cache-smoke crash-smoke corrupt-smoke adaptive-smoke serve-smoke trace-smoke merge-smoke ci clean
 
 all: build
 
@@ -102,10 +102,17 @@ fmt:
 crash-smoke: build
 	sh scripts/crash_recovery.sh
 
+# flip bytes at ~30 offsets of a real checkpoint and a real journal;
+# every resume must exit 0 byte-identical to the clean run or exit 2
+# naming the file — never a wrong value, a crash or an uncaught exception
+corrupt-smoke: build
+	sh scripts/corrupt_smoke.sh
+
 ci: build fmt
 	$(DUNE) exec test/main.exe
 	$(DUNE) exec bin/isf.exe -- table 1 -j 2 > /dev/null
 	$(MAKE) crash-smoke
+	$(MAKE) corrupt-smoke
 	$(MAKE) cache-smoke
 	$(MAKE) adaptive-smoke
 	$(MAKE) trace-smoke

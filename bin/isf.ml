@@ -197,10 +197,10 @@ let watchdog_arg =
 
 let checkpoint_arg =
   let doc =
-    "Persist each completed experiment cell to $(docv) (append-only, \
-     crash-safe) and, when re-run after an interruption, resume from the \
-     completed cells instead of recomputing them.  The file records the \
-     run configuration and refuses to resume a mismatched run."
+    "Persist each completed experiment cell to $(docv); a re-run after an \
+     interruption resumes from the completed cells.  A file of another run \
+     configuration is refused, and a damaged one resumed or refused (exit \
+     2), as lib/harness/store.mli describes."
   in
   Arg.(
     value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
@@ -555,11 +555,10 @@ let ablation_cmd =
 
 let journal_arg =
   let doc =
-    "Append-only job journal: every submission and completion is \
-     recorded (flushed per record, torn-tail tolerant), so a killed \
-     daemon restarted on the same journal replays completed results \
-     verbatim and re-runs exactly the in-flight jobs.  A journal \
-     written under a different serve configuration is refused."
+    "Job journal: a killed daemon restarted on the same journal replays \
+     completed results verbatim and re-runs exactly the in-flight jobs.  \
+     A journal of another serve configuration is refused, and a damaged \
+     one resumed or refused, as lib/harness/store.mli describes."
   in
   Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
 

@@ -6,11 +6,8 @@
    backoff, and — when a checkpoint file is armed — persists each
    completed cell so a killed run resumes where it stopped.
 
-   The checkpoint is an append-only sequence of marshaled
-   [(key, payload)] records.  Append-only is what makes it crash-safe: a
-   kill can at worst truncate the final record, and the loader stops at
-   the first undecodable tail instead of failing, so every fully written
-   cell survives.  Only [Ok] payloads are persisted — a failed cell is
+   The checkpoint is a {!Store} log of marshaled [(key, payload)]
+   records.  Only [Ok] payloads are persisted — a failed cell is
    re-attempted on resume, which is what you want after fixing whatever
    killed it. *)
 
@@ -63,33 +60,12 @@ let message_of = function
 (* Checkpoint store                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* "\000" cannot start a cell key (keys are human-readable table/bench
-   paths), so this name can never collide. *)
-let meta_key = "\000meta"
-
 let lock = Mutex.create ()
 let store : (string, string) Hashtbl.t = Hashtbl.create 64
-let chan : out_channel option ref = ref None
-
+let log : Store.log option ref = ref None
 let locked f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-(* Read every complete record; a truncated or corrupt tail (the record
-   being written when the process died) ends the load silently. *)
-let load path =
-  let tbl = Hashtbl.create 64 in
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    (try
-       while true do
-         let k, payload = (Marshal.from_channel ic : string * string) in
-         Hashtbl.replace tbl k payload
-       done
-     with End_of_file | Failure _ -> ());
-    close_in ic
-  end;
-  tbl
 
 (* Cells resumed from an armed checkpoint file, as opposed to persisted
    by this process: lets the scheduler skip its prewarm on a resume,
@@ -99,49 +75,33 @@ let checkpointed_cells () = locked (fun () -> !resumed)
 
 let set_checkpoint ?(meta = "") path_opt =
   locked (fun () ->
-      (match !chan with Some oc -> close_out oc | None -> ());
-      chan := None;
+      Option.iter Store.close !log;
+      log := None;
       Hashtbl.reset store;
       resumed := 0;
-      match path_opt with
-      | None -> ()
-      | Some path ->
-          let tbl = load path in
-          (match Hashtbl.find_opt tbl meta_key with
-          | Some payload ->
-              let prev = (Marshal.from_string payload 0 : string) in
-              if prev <> meta then
-                failwith
-                  (Printf.sprintf
-                     "checkpoint %s was written by a different run \
-                      configuration (%S, this run is %S); delete it or point \
-                      --checkpoint elsewhere"
-                     path prev meta)
-          | None -> ());
-          Hashtbl.iter
-            (fun k v ->
-              if k <> meta_key then begin
-                Hashtbl.replace store k v;
-                incr resumed
-              end)
-            tbl;
-          let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
-          chan := Some oc;
-          if not (Hashtbl.mem tbl meta_key) then begin
-            Marshal.to_channel oc (meta_key, Marshal.to_string meta []) [];
-            flush oc
-          end)
+      Option.iter
+        (fun path ->
+          let l, records =
+            Store.open_log ~what:"checkpoint" ~owner:"run" ~flag:"--checkpoint"
+              ~meta path
+          in
+          List.iter
+            (fun r ->
+              let k, payload = (Marshal.from_string r 0 : string * string) in
+              Hashtbl.replace store k payload)
+            records;
+          resumed := Hashtbl.length store;
+          log := Some l)
+        path_opt)
 
 let lookup key = locked (fun () -> Hashtbl.find_opt store key)
 
 let persist key payload =
   locked (fun () ->
       Hashtbl.replace store key payload;
-      match !chan with
-      | None -> ()
-      | Some oc ->
-          Marshal.to_channel oc (key, payload) [];
-          flush oc)
+      Option.iter
+        (fun l -> Store.append l (Marshal.to_string (key, payload) []))
+        !log)
 
 (* ------------------------------------------------------------------ *)
 (* The cell runner                                                     *)

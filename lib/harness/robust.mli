@@ -8,11 +8,10 @@
     via {!set_checkpoint}, persists every completed cell so a killed run
     resumes exactly where it stopped (ISSUE 3).
 
-    The checkpoint file is an append-only sequence of marshaled
-    [(key, payload)] records: a kill can at worst truncate the record
-    being written, and the loader tolerates that truncated tail, so all
-    fully completed cells survive any crash.  Only successful cells are
-    persisted; failed cells are re-attempted on resume. *)
+    The checkpoint file is a {!Store} log of marshaled [(key, payload)]
+    records; {!Store} defines its format and what a torn tail or a
+    corrupt record means.  Only successful cells are persisted; failed
+    cells are re-attempted on resume. *)
 
 type failure = {
   key : string;  (** the cell's stable identity, e.g. ["table1/raytrace/call-edge"] *)
@@ -41,11 +40,11 @@ val classify : exn -> string
 
 val set_checkpoint : ?meta:string -> string option -> unit
 (** Arm ([Some path]) or disarm ([None]) the checkpoint store.  Arming
-    loads every complete record already in the file (tolerating a
-    truncated tail) and appends subsequent completed cells to it.
-    [meta] fingerprints the run configuration; arming a file written
-    under a different [meta] raises [Failure] rather than resuming into
-    inconsistent results. *)
+    loads every verified record already in the file ({!Store.open_log})
+    and appends subsequent completed cells to it.  [meta] fingerprints
+    the run configuration; arming a file written under a different
+    [meta], or a corrupt one, raises [Failure] rather than resuming
+    into inconsistent results. *)
 
 val checkpointed_cells : unit -> int
 (** Number of cells the armed checkpoint resumed from disk (0 when no

@@ -1,7 +1,5 @@
 (* Two-tier content-addressed run cache.  See runcache.mli for the
-   contract; the design mirrors robust.ml's checkpoints where the two
-   overlap (Marshal payloads, tolerance of torn tails, loud refusal of
-   a store written by a different configuration). *)
+   contract; entry files are {!Store} record files. *)
 
 type stats = {
   mem_hits : int;
@@ -11,8 +9,7 @@ type stats = {
   corrupt : int;
 }
 
-let version = Printf.sprintf "isf-runcache 1 ocaml-%s" Sys.ocaml_version
-let magic = "ISF-RUNCACHE-ENTRY 1\n"
+let version = Printf.sprintf "isf-runcache 2 ocaml-%s" Sys.ocaml_version
 let version_file = "CACHE_VERSION"
 
 (* configuration + stats, shared across domains *)
@@ -55,81 +52,21 @@ let rec mkdir_p d =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in_noerr ic;
-  s
-
-(* All disk writes go through temp-file + atomic rename so a reader (or
-   a concurrent writer racing on the same key) never observes a partial
-   file — last rename wins, and both writers wrote equivalent bytes. *)
-let write_atomic ~dir path s =
-  match Filename.temp_file ~temp_dir:dir "isf-" ".tmp" with
-  | exception Sys_error _ -> false
-  | tmp -> (
-      try
-        let oc = open_out_bin tmp in
-        output_string oc s;
-        close_out oc;
-        Sys.rename tmp path;
-        true
-      with Sys_error _ ->
-        (try Sys.remove tmp with Sys_error _ -> ());
-        false)
-
 let trace_stats_registered = ref false
-
-(* A writer that dies between [Filename.temp_file] and [Sys.rename]
-   leaves an orphan isf-*.tmp behind forever.  Sweep them on open, but
-   only once they are old enough that no live process can still be
-   mid-write — another daemon sharing the directory may have created a
-   tmp file moments ago and is about to rename it. *)
-let stale_tmp_age = 900.0 (* seconds *)
-
-let has_suffix suf s =
-  String.length s >= String.length suf
-  && String.sub s (String.length s - String.length suf) (String.length suf)
-     = suf
-
-let has_prefix pre s =
-  String.length s >= String.length pre
-  && String.equal (String.sub s 0 (String.length pre)) pre
-
-let sweep_stale_tmps d =
-  match Sys.readdir d with
-  | exception Sys_error _ -> 0
-  | names ->
-      let now = Unix.gettimeofday () in
-      Array.fold_left
-        (fun n name ->
-          if has_prefix "isf-" name && has_suffix ".tmp" name then begin
-            let path = Filename.concat d name in
-            match Unix.stat path with
-            | exception Unix.Unix_error _ -> n
-            | st ->
-                if now -. st.Unix.st_mtime > stale_tmp_age then (
-                  try
-                    Sys.remove path;
-                    n + 1
-                  with Sys_error _ -> n)
-                else n
-          end
-          else n)
-        0 names
 
 let set_dir d =
   (match d with
   | None -> ()
   | Some d ->
       mkdir_p d;
-      let swept = sweep_stale_tmps d in
+      let swept = Store.sweep_stale_tmps d in
       if swept > 0 && !Pool.trace then
         Printf.eprintf "[runcache] swept %d stale tmp file(s) in %s\n%!" swept d;
       let vpath = Filename.concat d version_file in
       if Sys.file_exists vpath then begin
-        let found = String.trim (read_file vpath) in
+        let found =
+          String.trim (In_channel.with_open_bin vpath In_channel.input_all)
+        in
         if not (String.equal found version) then
           failwith
             (Printf.sprintf
@@ -137,7 +74,7 @@ let set_dir d =
                 build is %S); delete it or point --cache elsewhere"
                d found version)
       end
-      else if not (write_atomic ~dir:d vpath (version ^ "\n")) then
+      else if not (Store.replace ~dir:d vpath (version ^ "\n")) then
         failwith (Printf.sprintf "run cache %s is not writable" d));
   locked (fun () ->
       dir_ref := d;
@@ -155,54 +92,6 @@ let set_dir d =
 
 let entry_path ~dir ~key = Filename.concat dir (Digest.hex key ^ ".cell")
 
-(* Read one entry file.  Anything short of a fully verified entry —
-   absent, foreign magic, torn Marshal, payload/digest mismatch — is a
-   miss and will be recomputed and overwritten; everything but plain
-   absence additionally counts as a corruption event, which long-running
-   services ({!Serve.Daemon}) watch to circuit-break a rotting disk
-   tier.  The single loud case: a verified entry embedding a different
-   key than the one that hashed to this filename is an MD5 collision,
-   which must never be served. *)
-let read_raw ~key path =
-  match open_in_bin path with
-  | exception Sys_error _ -> `Miss
-  | ic ->
-      let r =
-        try
-          let m = really_input_string ic (String.length magic) in
-          if not (String.equal m magic) then `Corrupt
-          else
-            let k, dg, payload =
-              (Marshal.from_channel ic : string * string * string)
-            in
-            if not (String.equal (Stdlib.Digest.string payload) dg) then
-              `Corrupt
-            else if String.equal k key then `Hit payload
-            else `Collision k
-        with End_of_file | Failure _ -> `Corrupt
-      in
-      close_in_noerr ic;
-      (match r with
-      | `Collision k ->
-          bump `Corrupt;
-          failwith
-            (Printf.sprintf
-               "run cache entry %s: digest collision (entry holds a different \
-                run key %s)"
-               path
-               (String.escaped (String.sub k 0 (min 80 (String.length k)))))
-      | `Corrupt ->
-          bump `Corrupt;
-          `Miss
-      | (`Miss | `Hit _) as r -> r)
-
-let write_raw ~dir ~key payload =
-  let b = Buffer.create (String.length payload + 256) in
-  Buffer.add_string b magic;
-  Buffer.add_string b
-    (Marshal.to_string (key, Stdlib.Digest.string payload, payload) []);
-  write_atomic ~dir (entry_path ~dir ~key) (Buffer.contents b)
-
 module Make (V : sig
   type t
 end) =
@@ -210,20 +99,31 @@ struct
   let memo : (string, V.t) Sync.Memo.t = Sync.Memo.create ~size:64 ()
   let () = on_reset (fun () -> Sync.Memo.clear memo)
 
+  (* Anything short of a fully verified entry is a miss, recomputed and
+     overwritten; everything but plain absence also counts as a
+     corruption event, which long-running services ({!Serve.Daemon})
+     watch to circuit-break a rotting disk tier.  A collision is
+     counted too, then raised: it must never be served. *)
   let disk_load ~key =
     match dir () with
     | None -> None
     | Some d -> (
-        match read_raw ~key (entry_path ~dir:d ~key) with
-        | `Miss -> None
-        | `Hit payload -> (
-            try Some (Marshal.from_string payload 0 : V.t)
-            with Failure _ -> None))
+        match Store.read_record ~key (entry_path ~dir:d ~key) with
+        | `Hit payload -> Some (Marshal.from_string payload 0 : V.t)
+        | `Missing -> None
+        | `Corrupt ->
+            bump `Corrupt;
+            None
+        | exception e ->
+            bump `Corrupt;
+            raise e)
 
   let disk_save ~key v =
     match dir () with
     | None -> false
-    | Some d -> write_raw ~dir:d ~key (Marshal.to_string v [])
+    | Some d ->
+        Store.write_record ~dir:d (entry_path ~dir:d ~key) ~key
+          (Marshal.to_string v [])
 
   let find ~key f =
     match Sync.Memo.find_opt memo key with

@@ -4,18 +4,15 @@
     process, the first caller of a key computes it while concurrent
     callers of the same key block and share the result.  Tier 2 is an
     optional on-disk store ([isf --cache DIR] / [ISF_CACHE]) shared
-    across processes: entries are written to a temporary file and
-    renamed into place, so concurrent writers — domains of one process
-    or separate [isf] processes — can never expose a partial entry.
+    across processes: one {!Store} record file per entry, holding the
+    full run key and the marshalled payload.
 
-    On-disk entries carry a magic header, the full run key and an MD5
-    of the marshalled payload.  A truncated, corrupt or foreign file is
-    treated as a miss and recomputed (then overwritten); an entry that
-    parses and verifies but embeds a {e different} run key than the one
-    that hashed to its filename is a digest collision and raises — that
-    is the only loud failure a read can produce.  A cache directory
-    written by an incompatible format or compiler version is refused
-    with [Failure], mirroring {!Robust.set_checkpoint}'s refusal of
+    An entry that does not verify is a miss and is recomputed (then
+    overwritten); a verified entry embedding a {e different} run key
+    than the one that hashed to its filename is a digest collision and
+    raises — the only loud failure a read can produce.  A cache
+    directory written by an incompatible format or compiler version is
+    refused with [Failure], like {!Robust.set_checkpoint}'s refusal of
     foreign checkpoints ([bin/isf.ml] turns it into exit 2). *)
 
 type stats = {
@@ -24,8 +21,8 @@ type stats = {
   misses : int;
   stores : int;
   corrupt : int;
-      (** disk entries that existed but failed verification (foreign
-          magic, torn payload, digest mismatch, or a collision) — each
+      (** disk entries that existed but failed verification (not a
+          verifiable record file, or a collision) — each
           was recomputed, but a climbing count means the disk tier is
           rotting.  {!Serve.Daemon} circuit-breaks on it. *)
 }
@@ -40,17 +37,10 @@ val set_dir : string option -> unit
 (** Enable ([Some dir], created if missing) or disable ([None]) the
     persistent tier.  Raises [Failure] if [dir] was written by an
     incompatible version — delete it or point [--cache] elsewhere.
-    Opening a directory also sweeps [isf-*.tmp] files older than
-    {!stale_tmp_age} — orphans of a writer that crashed between
-    creating its temp file and the atomic rename.  Younger tmp files
-    are left alone: another process sharing the directory may be
-    mid-write. *)
+    Opening a directory also sweeps its stale temp files
+    ({!Store.sweep_stale_tmps}). *)
 
 val dir : unit -> string option
-
-val stale_tmp_age : float
-(** Age in seconds past which an [isf-*.tmp] file is considered the
-    debris of a crashed writer and swept by {!set_dir}. *)
 
 val stats : unit -> stats
 

@@ -29,7 +29,7 @@
     daemon keeps serving from the memory tier.
 
     {b Crash recovery.}  With a journal armed, every submission and
-    completion is appended (flushed, torn-tail tolerant); on restart,
+    completion is appended to the {!Journal}; on restart,
     completed results replay verbatim, in-flight jobs of the previous
     life re-run, and the quarantine list is restored.  Job execution is
     deterministic and content-cached, so a resumed fleet's sorted

@@ -1,11 +1,6 @@
-(* Append-only job journal: the daemon's crash-recovery log, following
-   the checkpoint discipline of Harness.Robust (PR 3): marshaled
-   records appended and flushed one at a time, so a kill can at worst
-   truncate the final record; the loader stops at the first
-   undecodable tail and every fully written record survives.  A
-   journal written under a different meta fingerprint (different job
-   file, engine, recording, cache setting) is refused loudly rather
-   than resumed into inconsistent results. *)
+(* The daemon's crash-recovery log: a {!Harness.Store} log of marshaled
+   [record]s, meta fingerprint first.  See journal.mli for the recovery
+   semantics. *)
 
 type record =
   | Meta of string
@@ -13,10 +8,6 @@ type record =
   | Completed of { id : int; result : string }
   | Quarantined of { digest : string; report : string }
   | Profile of { id : int; payload : string }
-      (* appended after this variant's original constructors so the
-         Marshal tags of old journals still decode: a journal written
-         before profile capture replays fine, its completed jobs just
-         carry no payload *)
 
 type recovered = {
   pending : (int * string * string) list; (* id, client, canonical job line *)
@@ -26,26 +17,7 @@ type recovered = {
   next_id : int;
 }
 
-type t = { mu : Mutex.t; oc : out_channel; path : string }
-
-(* Returns the records and the byte offset of the clean prefix: the
-   caller truncates the torn tail away before appending, otherwise new
-   records would land after undecodable garbage and be unreachable on
-   the next load. *)
-let load path =
-  let records = ref [] in
-  let clean = ref 0 in
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    (try
-       while true do
-         records := (Marshal.from_channel ic : record) :: !records;
-         clean := pos_in ic
-       done
-     with End_of_file | Failure _ -> ());
-    close_in_noerr ic
-  end;
-  (List.rev !records, !clean)
+type t = Harness.Store.log
 
 let recover records =
   let submitted = Hashtbl.create 64 in
@@ -99,53 +71,11 @@ let recover records =
   }
 
 let open_ ?(meta = "") path =
-  let records, clean = load path in
-  (match records with
-  | Meta prev :: _ ->
-      if not (String.equal prev meta) then
-        failwith
-          (Printf.sprintf
-             "job journal %s was written by a different daemon configuration \
-              (%S, this daemon is %S); delete it or point --journal elsewhere"
-             path prev meta)
-  | _ :: _ ->
-      failwith
-        (Printf.sprintf "job journal %s does not start with a meta record" path)
-  | [] ->
-      (* an empty (or absent) file is a fresh journal, but a non-empty
-         file yielding zero decodable records is some other file
-         entirely — refuse rather than truncate it to nothing *)
-      if Sys.file_exists path && (Unix.stat path).Unix.st_size > 0 then
-        failwith
-          (Printf.sprintf
-             "job journal %s is non-empty but contains no journal records; \
-              refusing to truncate it — delete it or point --journal \
-              elsewhere"
-             path));
-  (* drop the torn tail a kill may have left, so appends continue the
-     clean record stream *)
-  if Sys.file_exists path && (Unix.stat path).Unix.st_size > clean then
-    Unix.truncate path clean;
-  let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
-  let t = { mu = Mutex.create (); oc; path } in
-  if records = [] then begin
-    Marshal.to_channel oc (Meta meta) [];
-    flush oc
-  end;
-  (t, recover records)
+  let t, payloads =
+    Harness.Store.open_log ~what:"job journal" ~owner:"daemon"
+      ~flag:"--journal" ~meta path
+  in
+  (t, recover (List.map (fun p -> (Marshal.from_string p 0 : record)) payloads))
 
-let append t r =
-  Mutex.lock t.mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mu)
-    (fun () ->
-      Marshal.to_channel t.oc r [];
-      flush t.oc)
-
-let close t =
-  Mutex.lock t.mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mu)
-    (fun () -> try close_out t.oc with Sys_error _ -> ())
-
-let path t = t.path
+let append t r = Harness.Store.append t (Marshal.to_string r [])
+let close = Harness.Store.close

@@ -1,12 +1,9 @@
 (** Append-only job journal — the daemon's crash-recovery log.
 
-    Same discipline as {!Harness.Robust}'s checkpoints (PR 3): each
-    record is marshaled, appended and flushed individually, so a
-    SIGKILL can at worst truncate the record being written; the loader
-    tolerates that torn tail and every fully written record survives.
-    Opening a journal whose meta fingerprint differs from this
-    daemon's configuration raises [Failure] — resume must be exact or
-    refused.
+    A {!Harness.Store} log of marshaled records; {!Harness.Store}
+    defines its format and what a torn tail or a corrupt record means.
+    Opening a journal whose meta fingerprint differs from this daemon's
+    configuration raises [Failure] — resume must be exact or refused.
 
     Recovery semantics: a job with a [Submitted] record but no
     [Completed] record was in flight (queued or running) when the
@@ -17,6 +14,8 @@
 
 type record =
   | Meta of string
+      (** ignored on replay: the meta fingerprint {!open_} checks is the
+          log's first frame *)
   | Submitted of { id : int; client : string; line : string }
   | Completed of { id : int; result : string }
   | Quarantined of { digest : string; report : string }
@@ -24,8 +23,7 @@ type record =
       (** canonical {!Profiles.Merge.render} of a completed job's
           profile, written immediately before its [Completed] record so
           a resumed fleet can still be merged without re-running
-          anything.  Appended last in the variant: journals written
-          before profile capture still decode. *)
+          anything. *)
 
 type recovered = {
   pending : (int * string * string) list;
@@ -34,9 +32,8 @@ type recovered = {
   quarantined : (string * string) list;  (** (job digest, report) *)
   profiles : (int * string) list;
       (** (id, profile rendering) for completed ids whose [Profile]
-          record survived — ids completed by a pre-profile journal are
-          absent, and the merge path recomputes them through the run
-          cache *)
+          record survived — an id without one is recomputed by the
+          merge path through the run cache *)
   next_id : int;  (** 1 + highest id seen *)
 }
 
@@ -44,13 +41,11 @@ type t
 
 val open_ : ?meta:string -> string -> t * recovered
 (** Open (creating if missing) and replay the journal.  Raises
-    [Failure] when the existing journal's meta record differs from
-    [meta], and when the file is non-empty but holds no decodable
-    records at all (it is some other file — truncating it to "fix" the
-    tail would destroy it). *)
+    [Failure] when the existing journal's meta differs from [meta], and
+    when {!Harness.Store.open_log} refuses the file (corrupt, or not a
+    journal at all). *)
 
 val append : t -> record -> unit
-(** Marshal, append, flush.  Domain-safe. *)
+(** Marshal, frame, append, flush.  Domain-safe. *)
 
 val close : t -> unit
-val path : t -> string

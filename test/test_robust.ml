@@ -175,6 +175,37 @@ let test_checkpoint_truncated_tail () =
       check_int "only the lost cell re-ran" 1 !runs);
   Sys.remove path
 
+(* The resume after a tear must cut the torn record away before it
+   appends: a record appended after undecodable bytes would be misread
+   by the resume after that. *)
+let test_checkpoint_double_resume () =
+  let path = tmp "double" in
+  let cell key v = ignore (Harness.Robust.cell ~key (fun () -> v)) in
+  with_checkpoint path (fun () ->
+      cell "t/a" 1.0;
+      cell "t/b" 2.0);
+  let bytes = In_channel.with_open_bin path In_channel.input_all in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc
+        (String.sub bytes 0 (String.length bytes - 5)));
+  with_checkpoint path (fun () ->
+      cell "t/b" 2.0;
+      cell "t/c" 3.0);
+  let runs = ref 0 in
+  with_checkpoint path (fun () ->
+      check
+        Alcotest.(list (float 0.0))
+        "all three cells come back exactly" [ 1.0; 2.0; 3.0 ]
+        (List.map
+           (fun key ->
+             Harness.Robust.get_or ~default:nan
+               (Harness.Robust.cell ~key (fun () ->
+                    incr runs;
+                    nan)))
+           [ "t/a"; "t/b"; "t/c" ]);
+      check_int "none re-ran" 0 !runs);
+  Sys.remove path
+
 let test_checkpoint_meta_mismatch () =
   let path = tmp "meta" in
   with_checkpoint ~meta:"scale=1 engine=fast" path (fun () ->
@@ -246,6 +277,8 @@ let suite =
           test_checkpoint_failures_not_persisted;
         Alcotest.test_case "truncated tail tolerated" `Quick
           test_checkpoint_truncated_tail;
+        Alcotest.test_case "torn tail cut before a resumed run appends" `Quick
+          test_checkpoint_double_resume;
         Alcotest.test_case "meta mismatch refused" `Quick
           test_checkpoint_meta_mismatch;
         Alcotest.test_case "table resume byte-identical" `Quick

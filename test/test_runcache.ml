@@ -135,10 +135,7 @@ let test_collision_is_loud () =
          run key: the one defect that must never be served silently *)
       let payload = Marshal.to_string "forged" [] in
       let entry =
-        "ISF-RUNCACHE-ENTRY 1\n"
-        ^ Marshal.to_string
-            ("some other run key", Stdlib.Digest.string payload, payload)
-            []
+        Harness.Store.frame "some other run key" ^ Harness.Store.frame payload
       in
       Out_channel.with_open_bin
         (Filename.concat dir (D.hex key ^ ".cell"))
@@ -276,7 +273,7 @@ let test_stale_tmp_sweep () =
     [ stale; fresh; foreign ];
   (* age the orphan past the threshold; the fresh one could belong to a
      concurrent daemon about to rename it *)
-  let old = Unix.gettimeofday () -. R.stale_tmp_age -. 60.0 in
+  let old = Unix.gettimeofday () -. Harness.Store.stale_tmp_age -. 60.0 in
   Unix.utimes stale old old;
   with_cache dir (fun () ->
       check_bool "stale orphan swept on open" false (Sys.file_exists stale);
