@@ -59,8 +59,8 @@ bench-serve:
 
 # SIGKILL `isf serve` mid-fleet, restart on the same journal, require
 # zero lost jobs and byte-identity with a sequential run — for both
-# engines and both recording paths; plus socket mode, graceful SIGTERM,
-# a shared cache directory, and a chaos fleet with poison jobs
+# engines; plus socket mode, graceful SIGTERM, a shared cache
+# directory, and a chaos fleet with poison jobs
 serve-smoke: build
 	sh scripts/serve_smoke.sh
 
@@ -77,15 +77,14 @@ cache-smoke: build
 	sh scripts/cache_smoke.sh
 
 # `isf table all` with the adaptive loop off must stay byte-identical
-# across engines, recording paths and cache cold/warm; the loop on must
-# be engine-invariant
+# across engines and cache cold/warm; the loop on must be
+# engine-invariant
 adaptive-smoke: build
 	sh scripts/adaptive_smoke.sh
 
 # `isf table all --traces on|8` must stay byte-identical to traces off
-# across engines, recording paths, --chaos and cache cold/warm, and
-# the --stats event taxonomy must be non-zero (the identity is not
-# vacuous)
+# across engines, --chaos and cache cold/warm, and the --stats event
+# taxonomy must be non-zero (the identity is not vacuous)
 trace-smoke: build
 	sh scripts/trace_smoke.sh
 

@@ -119,25 +119,13 @@ let engine_arg =
     "VM execution engine: $(b,fast) (closure-compiled, default) or \
      $(b,ref) (reference interpreter).  The engines are bit-identical, \
      so every number is engine-invariant; $(b,ref) exists as the \
-     differential oracle."
+     differential oracle.  Profiles always record through flat slots; \
+     the legacy event-by-event recorder is a test oracle only."
   in
   Arg.(
     value
     & opt (enum [ ("ref", `Ref); ("fast", `Fast) ]) `Fast
     & info [ "engine" ] ~docv:"ENGINE" ~doc)
-
-let recording_arg =
-  let doc =
-    "Profile recording path: $(b,slots) (flat-slot recording, default: \
-     compile-time event resolution into preallocated buffers, decoded at \
-     end of run) or $(b,legacy) (event-by-event hook dispatch, kept as \
-     the differential oracle).  The paths are bit-identical, so every \
-     number is recording-invariant."
-  in
-  Arg.(
-    value
-    & opt (enum [ ("slots", `Slots); ("legacy", `Legacy) ]) `Slots
-    & info [ "recording" ] ~docv:"PATH" ~doc)
 
 let traces_arg =
   let doc =
@@ -208,7 +196,7 @@ let checkpoint_arg =
 let cache_arg =
   let doc =
     "Persist every measurement to $(docv), content-addressed by its full \
-     run configuration (code digest, engine, recording, trigger, scale, \
+     run configuration (code digest, engine, trace tier, trigger, scale, \
      fault plan), and reuse matching entries across runs and processes.  \
      Results are byte-identical with and without the cache.  Corrupt or \
      truncated entries are recomputed; a directory written by an \
@@ -225,9 +213,6 @@ let set_cache cache =
     exit 2
 
 let set_trace t = if t then Harness.Pool.trace := true
-let set_engine e = Measure.set_engine e
-let set_recording r = Measure.set_recording r
-let set_traces t = Measure.set_traces t
 
 (* --stats: the taxonomy goes to stderr after the command body ran, so
    stdout stays the command's own bytes *)
@@ -240,10 +225,6 @@ let with_stats stats f =
       (Vm.Trace.stats ())
   end
 
-let set_robustness ?(chaos = None) ?(watchdog = 600.0) () =
-  Measure.set_chaos chaos;
-  Measure.set_watchdog watchdog
-
 (* open the checkpoint file, tagged with everything that changes cell
    values, so resuming under a different configuration is an error
    rather than a silently wrong table *)
@@ -251,7 +232,7 @@ let set_checkpoint ~which ~scale ~engine ~chaos checkpoint =
   let meta =
     Printf.sprintf "which=%s scale=%s engine=%s chaos=%s" which
       (match scale with Some s -> string_of_int s | None -> "default")
-      (match engine with `Ref -> "ref" | `Fast -> "fast")
+      (Measure.engine_str engine)
       (match chaos with Some s -> string_of_int s | None -> "off")
   in
   try Harness.Robust.set_checkpoint ~meta checkpoint
@@ -274,8 +255,7 @@ let list_cmd =
 
 let run_cmd =
   let run bench scale engine traces stats =
-    set_engine engine;
-    set_traces traces;
+    Measure.configure { Measure.default with engine; traces };
     with_stats stats @@ fun () ->
     let b = Workloads.Suite.find bench in
     let build = Measure.prepare ?scale b in
@@ -292,11 +272,8 @@ let run_cmd =
 
 let profile_cmd =
   let run bench scale variant instr interval jitter timer top csv engine
-      recording traces stats chaos =
-    set_engine engine;
-    set_recording recording;
-    set_traces traces;
-    set_robustness ~chaos ();
+      traces stats chaos =
+    Measure.configure { Measure.default with engine; traces; chaos };
     with_stats stats @@ fun () ->
     let b = Workloads.Suite.find bench in
     let build = Measure.prepare ?scale b in
@@ -336,7 +313,7 @@ let profile_cmd =
     Term.(
       const run $ bench_arg $ scale_arg $ variant_arg $ instr_arg
       $ interval_arg $ jitter_arg $ timer_arg $ top_arg $ csv_arg
-      $ engine_arg $ recording_arg $ traces_arg $ stats_arg $ chaos_arg)
+      $ engine_arg $ traces_arg $ stats_arg $ chaos_arg)
 
 let dump_cmd =
   let run bench variant instr meth =
@@ -365,7 +342,6 @@ let dump_cmd =
 (* run or profile a user-provided .jasm file *)
 let exec_cmd =
   let run file args variant instr interval jitter top engine traces stats =
-    set_engine engine;
     with_stats stats @@ fun () ->
     let src = In_channel.with_open_text file In_channel.input_all in
     let classes = Jasm.Compile.compile_string ~file src in
@@ -426,13 +402,10 @@ let exec_cmd =
       $ jitter_arg $ top_arg $ engine_arg $ traces_arg $ stats_arg)
 
 let table_cmd =
-  let run which scale jobs trace engine recording traces stats chaos watchdog
-      checkpoint cache adaptive budget =
+  let run which scale jobs trace engine traces stats chaos watchdog checkpoint
+      cache adaptive budget =
     set_trace trace;
-    set_engine engine;
-    set_recording recording;
-    set_traces traces;
-    set_robustness ~chaos ~watchdog ();
+    Measure.configure { Measure.engine; traces; chaos; watchdog };
     with_stats stats @@ fun () ->
     let name =
       match which with `All -> "all" | `One w -> Harness.Experiments.name w
@@ -510,17 +483,14 @@ let table_cmd =
     (Cmd.info "table" ~doc:"Reproduce one of the paper's tables/figures")
     Term.(
       const run $ which_arg $ scale_arg $ jobs_arg $ trace_arg $ engine_arg
-      $ recording_arg $ traces_arg $ stats_arg $ chaos_arg $ watchdog_arg
-      $ checkpoint_arg $ cache_arg $ adaptive_arg $ budget_arg)
+      $ traces_arg $ stats_arg $ chaos_arg $ watchdog_arg $ checkpoint_arg
+      $ cache_arg $ adaptive_arg $ budget_arg)
 
 let all_cmd =
-  let run scale jobs trace engine recording traces stats chaos watchdog
-      checkpoint cache =
+  let run scale jobs trace engine traces stats chaos watchdog checkpoint cache
+      =
     set_trace trace;
-    set_engine engine;
-    set_recording recording;
-    set_traces traces;
-    set_robustness ~chaos ~watchdog ();
+    Measure.configure { Measure.engine; traces; chaos; watchdog };
     with_stats stats @@ fun () ->
     set_checkpoint ~which:"everything" ~scale ~engine ~chaos checkpoint;
     set_cache cache;
@@ -529,16 +499,13 @@ let all_cmd =
   Cmd.v
     (Cmd.info "all" ~doc:"Reproduce every table and figure of the paper")
     Term.(
-      const run $ scale_arg $ jobs_arg $ trace_arg $ engine_arg
-      $ recording_arg $ traces_arg $ stats_arg $ chaos_arg $ watchdog_arg
-      $ checkpoint_arg $ cache_arg)
+      const run $ scale_arg $ jobs_arg $ trace_arg $ engine_arg $ traces_arg
+      $ stats_arg $ chaos_arg $ watchdog_arg $ checkpoint_arg $ cache_arg)
 
 let ablation_cmd =
-  let run scale jobs trace engine recording traces cache =
+  let run scale jobs trace engine traces cache =
     set_trace trace;
-    set_engine engine;
-    set_recording recording;
-    set_traces traces;
+    Measure.configure { Measure.default with engine; traces };
     set_cache cache;
     Harness.Ablation.run_all ?scale ~jobs ()
   in
@@ -548,8 +515,8 @@ let ablation_cmd =
          "Run the ablation studies (trigger determinism, check cost, \
           duplication strategy, per-thread counters)")
     Term.(
-      const run $ scale_arg $ jobs_arg $ trace_arg $ engine_arg
-      $ recording_arg $ traces_arg $ cache_arg)
+      const run $ scale_arg $ jobs_arg $ trace_arg $ engine_arg $ traces_arg
+      $ cache_arg)
 
 (* ---- service mode ---- *)
 
@@ -601,9 +568,13 @@ let or_die f =
 
 (* everything that changes result bytes belongs in the journal meta;
    worker count and capacity deliberately do not (scheduling never
-   changes results), so a crashed 8-worker run may resume with 1 *)
+   changes results), so a crashed 8-worker run may resume with 1.  The
+   job-line format is in it too: every result line carries the digest
+   of its job's rendering, so a journal of another format is refused
+   rather than replayed under digests its jobs no longer have. *)
 let serve_meta ~tag ~config ~chaos ~watchdog =
-  Printf.sprintf "%s chaos=%s watchdog=%g retries=%d quarantine-after=%d" tag
+  Printf.sprintf
+    "%s job-format=2 chaos=%s watchdog=%g retries=%d quarantine-after=%d" tag
     (match chaos with Some s -> string_of_int s | None -> "off")
     watchdog config.Serve.Daemon.retries config.Serve.Daemon.quarantine_after
 
@@ -638,7 +609,7 @@ let serve_cmd =
   let run socket job_file results_file journal workers capacity retries
       quarantine_after breaker_after chaos watchdog cache trace =
     set_trace trace;
-    set_robustness ~chaos ~watchdog ();
+    Measure.configure { Measure.default with chaos; watchdog };
     set_cache cache;
     let config =
       serve_config ~workers ~capacity ~retries ~quarantine_after
@@ -853,18 +824,18 @@ let merge_cmd =
       $ cache_arg)
 
 let fleet_cmd =
-  let run n seed clients poison engine recording emit file sequential socket
-      out journal workers capacity retries quarantine_after breaker_after
-      chaos watchdog cache trace merge merge_out batch window =
+  let run n seed clients poison engine emit file sequential socket out journal
+      workers capacity retries quarantine_after breaker_after chaos watchdog
+      cache trace merge merge_out batch window =
     install_oneshot_signals ();
     set_trace trace;
-    set_robustness ~chaos ~watchdog ();
+    Measure.configure { Measure.default with chaos; watchdog };
     set_cache cache;
     let entries =
       match file with
       | Some f -> or_die (fun () -> Serve.Fleet.read_job_file f)
       | None ->
-          Serve.Fleet.jobs ~engine ~recording ~poison ~seed ~n ()
+          Serve.Fleet.jobs ~engine ~poison ~seed ~n ()
           |> List.mapi (fun i j -> (Serve.Fleet.client_of ~clients i, j))
     in
     match emit with
@@ -1021,10 +992,10 @@ let fleet_cmd =
           jobs against the serve engine")
     Term.(
       const run $ n_arg $ seed_arg $ clients_arg $ poison_arg $ engine_arg
-      $ recording_arg $ emit_arg $ file_arg $ sequential_arg $ socket_arg
-      $ out_arg $ journal_arg $ jobs_arg $ capacity_arg $ retries_arg
-      $ quarantine_arg $ breaker_arg $ chaos_arg $ watchdog_arg $ cache_arg
-      $ trace_arg $ merge_arg $ merge_out_arg $ batch_arg $ window_arg)
+      $ emit_arg $ file_arg $ sequential_arg $ socket_arg $ out_arg
+      $ journal_arg $ jobs_arg $ capacity_arg $ retries_arg $ quarantine_arg
+      $ breaker_arg $ chaos_arg $ watchdog_arg $ cache_arg $ trace_arg
+      $ merge_arg $ merge_out_arg $ batch_arg $ window_arg)
 
 let main =
   let doc =

@@ -6,30 +6,18 @@ let sample_intervals = [ 1; 10; 100; 1_000; 10_000; 100_000 ]
 
 let benchmarks () = Workloads.Suite.all
 
-(* Perfect profiles (sample interval 1 — all execution in duplicated code),
-   cached per (benchmark, scale, engine) with per-key locking so pooled
-   cells compute each at most once. *)
-let perfect_cache :
-    ( string * int * [ `Ref | `Fast ],
-      (string * int) list * (string * int) list )
-    Sync.Memo.t =
-  Sync.Memo.create ()
-
+(* Perfect profiles (sample interval 1 — all execution in duplicated
+   code).  The run itself is memoized by Measure's run cache under its
+   full run key. *)
 let perfect_profiles (build : Measure.build) =
-  let key =
-    ( build.Measure.bench.Workloads.Suite.bname,
-      build.Measure.scale,
-      Measure.current_engine () )
+  let m =
+    Measure.run_transformed ~trigger:Core.Sampler.Always
+      ~transform:(Core.Transform.full_dup both_specs)
+      build
   in
-  Sync.Memo.get perfect_cache key (fun () ->
-      let m =
-        Measure.run_transformed ~trigger:Core.Sampler.Always
-          ~transform:(Core.Transform.full_dup both_specs)
-          build
-      in
-      ( Profiles.Call_edge.to_keyed
-          m.Measure.collector.Profiles.Collector.call_edges,
-        Profiles.Field_access.to_keyed
-          m.Measure.collector.Profiles.Collector.fields ))
+  ( Profiles.Call_edge.to_keyed
+      m.Measure.collector.Profiles.Collector.call_edges,
+    Profiles.Field_access.to_keyed m.Measure.collector.Profiles.Collector.fields
+  )
 
 let mean l = List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)

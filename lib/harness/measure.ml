@@ -23,57 +23,33 @@ let prepare ?(scale = 0) (bench : Workloads.Suite.benchmark) =
       in
       { bench; scale; classes; base_funcs })
 
-(* The execution engine every experiment runs on, settable once from the
-   CLI (isf --engine).  The engines are bit-identical, so this can never
-   change a number — EXPERIMENTS.md results are engine-invariant — but
-   caches are still keyed by it so mixed-engine comparisons (bench, the
-   differential suite) never alias. *)
-let default_engine : [ `Ref | `Fast ] Atomic.t = Atomic.make `Fast
+(* How a run executes, beyond what it runs.  The session value is set
+   once per verb (isf builds it from its flags); every run reads it
+   exactly once, at its start, and threads that value through its run
+   key, its fault plan and its execution, so no run ever sees a mix of
+   two settings.  Engine, traces and chaos are part of the run key;
+   the watchdog only ever affects failing runs, which are never cached.
+   Profiles record through flat slots (Profiles.Slots); the legacy
+   event-by-event hooks are reachable only as [run_transformed]'s test
+   oracle. *)
+type config = {
+  engine : [ `Ref | `Fast ];
+  traces : int option;
+  chaos : int option;
+  watchdog : float;
+}
 
-let set_engine e = Atomic.set default_engine e
-let current_engine () = Atomic.get default_engine
+let default = { engine = `Fast; traces = None; chaos = None; watchdog = 600.0 }
+let session = Atomic.make default
+let configure c = Atomic.set session c
+let set_traces traces = Atomic.set session { (Atomic.get session) with traces }
 
-(* The profile recording path (isf --recording).  [`Slots] (default)
-   resolves every instrument op to a flat slot after linking and records
-   through preallocated buffers (Profiles.Slots), decoding into the
-   legacy collector structures at end of run; [`Legacy] is the original
-   event-by-event hook dispatch, kept as the differential oracle.  The
-   two are bit-identical — cycles, counters and every decoded profile
-   table including iteration order — so results are recording-invariant
-   (test/test_slots.ml enforces this differentially). *)
-let recording : [ `Slots | `Legacy ] Atomic.t = Atomic.make `Slots
-
-let set_recording r = Atomic.set recording r
-let current_recording () = Atomic.get recording
-
-(* The trace-recording tier (isf --traces): [Some t] arms hot-loop
-   tracing on the Fast engine with backedge threshold [t].  Traced
-   execution is bit-identical on every observable (test/test_engine.ml
-   enforces this differentially), so results are trace-invariant — but
-   run keys still carry the setting so trace-on and trace-off
-   measurements never alias in the cache.  Ignored by [`Ref]. *)
-let traces : int option Atomic.t = Atomic.make None
-
-let set_traces t = Atomic.set traces t
-let current_traces () = Atomic.get traces
-
-(* Chaos mode (isf --chaos SEED): every measurement runs under a fault
-   plan derived from the session seed and the cell's (benchmark, scale)
-   — deliberately NOT from which table or worker asks, so concurrent
-   cells measuring the same build inject the same faults and results
-   stay independent of -j and of execution order. *)
-let chaos : int option Atomic.t = Atomic.make None
-
-let set_chaos s = Atomic.set chaos s
-
-(* Per-cell wall-clock budget in seconds (isf --watchdog); <= 0 disables
-   the deadline entirely (the clock is then never read). *)
-let watchdog : float Atomic.t = Atomic.make 600.0
-
-let set_watchdog s = Atomic.set watchdog s
-
-let fault_plan build =
-  match Atomic.get chaos with
+(* Chaos faults derive from the session seed and the cell's (benchmark,
+   scale) — deliberately NOT from which table or worker asks, so
+   concurrent cells measuring the same build inject the same faults and
+   results stay independent of -j and of execution order. *)
+let fault_plan cfg build =
+  match cfg.chaos with
   | None -> Fault.none
   | Some seed ->
       Fault.of_seed ~compile_fail_pct:25
@@ -129,13 +105,17 @@ let no_recording (_ : Vm.Program.t) =
     r_on_init = None;
   }
 
-let execute ?engine ?timer_period build funcs mk =
-  let engine =
-    match engine with Some e -> e | None -> Atomic.get default_engine
-  in
+let slots_recording ?on_init slots sampler =
+  {
+    r_hooks = Profiles.Slots.hooks slots sampler;
+    r_recorder = Some (Profiles.Slots.recorder slots);
+    r_decode = (fun () -> Profiles.Slots.decode slots);
+    r_on_init = on_init;
+  }
+
+let execute cfg ?timer_period build funcs mk =
   let prog = Vm.Program.link build.classes ~funcs in
   let recording = mk prog in
-  let faults = fault_plan build in
   let label =
     let ctx = Robust.context () in
     if not (String.equal ctx "") then ctx
@@ -144,14 +124,15 @@ let execute ?engine ?timer_period build funcs mk =
         build.scale
   in
   let deadline =
-    let w = Atomic.get watchdog in
-    if w <= 0.0 then None else Some (Unix.gettimeofday () +. w)
+    if cfg.watchdog <= 0.0 then None
+    else Some (Unix.gettimeofday () +. cfg.watchdog)
   in
   let res =
-    Vm.Interp.run ~engine ~use_icache:true ?timer_period ~faults ~label
-      ?deadline ?recorder:recording.r_recorder
-      ?trace_threshold:(Atomic.get traces) ?on_init:recording.r_on_init prog
-      ~entry:Workloads.Suite.entry ~args:[ build.scale ] recording.r_hooks
+    Vm.Interp.run ~engine:cfg.engine ~use_icache:true ?timer_period
+      ~faults:(fault_plan cfg build) ~label ?deadline
+      ?recorder:recording.r_recorder ?trace_threshold:cfg.traces
+      ?on_init:recording.r_on_init prog ~entry:Workloads.Suite.entry
+      ~args:[ build.scale ] recording.r_hooks
   in
   (metrics_of prog res (recording.r_decode ()), res)
 
@@ -182,49 +163,44 @@ let () =
 
 let engine_str = function `Ref -> "ref" | `Fast -> "fast"
 
-let run_key ?adaptive ~kind ~funcs_digest ~engine ~recording ~trigger
+let run_key cfg ?adaptive ~kind ~funcs_digest ~recording ~trigger
     ~timer_period build =
   let traces =
     (* only the Fast engine consults the tier, so Ref keys stay stable
-       whatever the session-wide setting *)
-    match (engine, Atomic.get traces) with
+       whatever the session's setting *)
+    match (cfg.engine, cfg.traces) with
     | `Fast, Some t -> Some (Printf.sprintf "threshold:%d" t)
     | _ -> None
   in
   Digest.run_config ?adaptive ?traces ~kind
     ~bench:build.bench.Workloads.Suite.bname ~scale:build.scale ~funcs_digest
-    ~engine:(engine_str engine) ~recording ~trigger ~timer_period
+    ~engine:(engine_str cfg.engine) ~recording ~trigger ~timer_period
     ~costs:(Digest.costs Vm.Costs.default)
-    ~faults:(Digest.fault_plan (fault_plan build))
+    ~faults:(Digest.fault_plan (fault_plan cfg build))
     ()
 
-let run_baseline ?engine build =
-  let engine =
-    match engine with Some e -> e | None -> Atomic.get default_engine
-  in
+let transform_funcs transform build =
+  List.map (fun f -> (transform f).Core.Transform.func) build.base_funcs
+
+let run_baseline build =
+  let cfg = Atomic.get session in
   let key =
-    run_key ~kind:"baseline" ~funcs_digest:(base_funcs_digest build) ~engine
+    run_key cfg ~kind:"baseline" ~funcs_digest:(base_funcs_digest build)
       ~recording:"none" ~trigger:"none" ~timer_period:None build
   in
   Cache.find ~key (fun () ->
-      fst (execute ~engine build build.base_funcs no_recording))
+      fst (execute cfg build build.base_funcs no_recording))
 
-let run_transformed ?engine ?recording:rec_override
+let run_transformed ?engine ?(recording = `Slots)
     ?(trigger = Core.Sampler.Never) ?timer_period ~transform build =
-  let engine =
-    match engine with Some e -> e | None -> Atomic.get default_engine
+  let cfg = Atomic.get session in
+  let cfg =
+    match engine with Some engine -> { cfg with engine } | None -> cfg
   in
-  let recording_path =
-    match rec_override with Some r -> r | None -> Atomic.get recording
-  in
-  let funcs =
-    List.map
-      (fun f -> (transform f).Core.Transform.func)
-      build.base_funcs
-  in
+  let funcs = transform_funcs transform build in
   let mk prog =
     let sampler = Core.Sampler.create trigger in
-    match recording_path with
+    match recording with
     | `Legacy ->
         let collector = Profiles.Collector.create () in
         {
@@ -233,22 +209,15 @@ let run_transformed ?engine ?recording:rec_override
           r_decode = (fun () -> collector);
           r_on_init = None;
         }
-    | `Slots ->
-        let slots = Profiles.Slots.create prog in
-        {
-          r_hooks = Profiles.Slots.hooks slots sampler;
-          r_recorder = Some (Profiles.Slots.recorder slots);
-          r_decode = (fun () -> Profiles.Slots.decode slots);
-          r_on_init = None;
-        }
+    | `Slots -> slots_recording (Profiles.Slots.create prog) sampler
   in
   let key =
-    run_key ~kind:"instrumented" ~funcs_digest:(Digest.funcs funcs) ~engine
+    run_key cfg ~kind:"instrumented" ~funcs_digest:(Digest.funcs funcs)
       ~recording:
-        (match recording_path with `Slots -> "slots" | `Legacy -> "legacy")
+        (match recording with `Slots -> "slots" | `Legacy -> "legacy")
       ~trigger:(Digest.trigger trigger) ~timer_period build
   in
-  Cache.find ~key (fun () -> fst (execute ~engine ?timer_period build funcs mk))
+  Cache.find ~key (fun () -> fst (execute cfg ?timer_period build funcs mk))
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive runs (DESIGN.md §9)                                        *)
@@ -269,39 +238,32 @@ module Adaptive_cache = Runcache.Make (struct
   type t = adaptive_metrics
 end)
 
-let run_adaptive ?engine ?(trigger = Core.Sampler.Counter { interval = 64; jitter = 0 })
+(* The controller reads the live profile from the flat-slot recorder,
+   so adaptive runs always record through slots.  [on_controller] sees
+   the controller before the run starts. *)
+let adaptive_recording ~config ~trigger on_controller prog =
+  let sampler = Core.Sampler.create trigger in
+  let slots = Profiles.Slots.create prog in
+  let c = Adaptive.Controller.create ~config ~sampler slots in
+  on_controller c;
+  slots_recording ~on_init:(Adaptive.Controller.on_init c) slots sampler
+
+let run_adaptive ?(trigger = Core.Sampler.Counter { interval = 64; jitter = 0 })
     ?timer_period ?(config = Adaptive.Controller.default) ~transform build =
-  let engine =
-    match engine with Some e -> e | None -> Atomic.get default_engine
-  in
-  let funcs =
-    List.map (fun f -> (transform f).Core.Transform.func) build.base_funcs
-  in
-  (* the controller reads the live profile from the flat-slot recorder,
-     so adaptive runs are pinned to [`Slots] recording regardless of the
-     session-wide setting (the loop-off byte-identity guarantees are
-     what both recordings keep) *)
+  let cfg = Atomic.get session in
+  let funcs = transform_funcs transform build in
   let key =
-    run_key
+    run_key cfg
       ~adaptive:(Adaptive.Controller.config_digest config)
-      ~kind:"adaptive" ~funcs_digest:(Digest.funcs funcs) ~engine
-      ~recording:"slots" ~trigger:(Digest.trigger trigger) ~timer_period build
+      ~kind:"adaptive" ~funcs_digest:(Digest.funcs funcs) ~recording:"slots"
+      ~trigger:(Digest.trigger trigger) ~timer_period build
   in
   Adaptive_cache.find ~key (fun () ->
       let ctl = ref None in
-      let mk prog =
-        let sampler = Core.Sampler.create trigger in
-        let slots = Profiles.Slots.create prog in
-        let c = Adaptive.Controller.create ~config ~sampler slots in
-        ctl := Some c;
-        {
-          r_hooks = Profiles.Slots.hooks slots sampler;
-          r_recorder = Some (Profiles.Slots.recorder slots);
-          r_decode = (fun () -> Profiles.Slots.decode slots);
-          r_on_init = Some (Adaptive.Controller.on_init c);
-        }
+      let m, res =
+        execute cfg ?timer_period build funcs
+          (adaptive_recording ~config ~trigger (fun c -> ctl := Some c))
       in
-      let m, res = execute ~engine ?timer_period build funcs mk in
       let c = Option.get !ctl in
       {
         am = m;
@@ -319,29 +281,15 @@ let run_adaptive ?engine ?(trigger = Core.Sampler.Counter { interval = 64; jitte
    drivers time this instead.  Same configuration surface and the same
    execution path as [run_adaptive], minus the cache and the controller
    introspection. *)
-let adaptive_wall ?engine
+let adaptive_wall
     ?(trigger = Core.Sampler.Counter { interval = 64; jitter = 0 })
     ?timer_period ?(config = Adaptive.Controller.default) ~transform build =
-  let engine =
-    match engine with Some e -> e | None -> Atomic.get default_engine
-  in
-  let funcs =
-    List.map (fun f -> (transform f).Core.Transform.func) build.base_funcs
-  in
-  let mk prog =
-    let sampler = Core.Sampler.create trigger in
-    let slots = Profiles.Slots.create prog in
-    let c = Adaptive.Controller.create ~config ~sampler slots in
-    {
-      r_hooks = Profiles.Slots.hooks slots sampler;
-      r_recorder = Some (Profiles.Slots.recorder slots);
-      r_decode = (fun () -> Profiles.Slots.decode slots);
-      r_on_init = Some (Adaptive.Controller.on_init c);
-    }
-  in
+  let cfg = Atomic.get session in
+  let funcs = transform_funcs transform build in
   let t0 = Unix.gettimeofday () in
   let (_ : metrics * Vm.Interp.result) =
-    execute ~engine ?timer_period build funcs mk
+    execute cfg ?timer_period build funcs
+      (adaptive_recording ~config ~trigger ignore)
   in
   Unix.gettimeofday () -. t0
 

@@ -17,48 +17,51 @@ type build = {
 val prepare : ?scale:int -> Workloads.Suite.benchmark -> build
 (** Memoized per (benchmark, scale). *)
 
-val set_engine : [ `Ref | `Fast ] -> unit
-(** Select the VM execution engine every subsequent measurement runs on
-    (default [`Fast]).  The engines are bit-identical (see {!Vm.Engine}),
-    so results are engine-invariant; caches are still keyed by the engine
-    so explicit per-call overrides never alias. *)
+type config = {
+  engine : [ `Ref | `Fast ];
+      (** VM execution engine.  The engines are bit-identical (see
+          {!Vm.Engine}), so results are engine-invariant; run keys still
+          carry the engine so Ref and Fast runs never alias. *)
+  traces : int option;
+      (** [Some threshold] arms the trace-recording tier ({!Vm.Trace}):
+          on the Fast engine, a loop whose backedge executes [threshold]
+          times is recorded and compiled to a fused superinstruction
+          closure.  Traced execution is bit-identical on every
+          observable; run keys still carry the setting so trace-on and
+          trace-off runs never alias.  Ignored by [`Ref]. *)
+  chaos : int option;
+      (** [Some seed] runs every measurement under a deterministic
+          {!Fault.plan} derived from the seed and the cell's (benchmark,
+          scale) — and only those, so results are independent of worker
+          count and execution order.  With [None], runs are
+          bit-identical to a build without fault injection at all. *)
+  watchdog : float;
+      (** Per-measurement wall-clock budget in seconds.  A cell
+          exceeding it aborts with a watchdog {!Vm.Interp.Runtime_error}
+          (classified ["timeout"] by {!Robust}).  [<= 0] disables the
+          watchdog and the VM never reads the clock. *)
+}
+(** How a run executes, beyond what it runs.  Profiles always record
+    through flat slots ({!Profiles.Slots}); the legacy event-by-event
+    hooks are reachable only through {!run_transformed}'s [recording],
+    as a test oracle. *)
 
-val current_engine : unit -> [ `Ref | `Fast ]
+val default : config
+(** [`Fast], traces off, chaos off, watchdog 600 s. *)
 
-val set_recording : [ `Slots | `Legacy ] -> unit
-(** Select the profile recording path (default [`Slots]): flat-slot
-    recording ({!Profiles.Slots} — compile-time event resolution,
-    preallocated buffers, end-of-run decode) or the legacy
-    event-by-event hook dispatch kept as the differential oracle.  The
-    paths are bit-identical — cycles, counters and every decoded profile
-    table — so every published number is recording-invariant. *)
-
-val current_recording : unit -> [ `Slots | `Legacy ]
+val configure : config -> unit
+(** Set the session configuration — the only mutable run setting.
+    [isf] calls it once per verb.  Every measurement reads the session
+    value once, at its start, and uses that one value for its run key,
+    its fault plan and its execution. *)
 
 val set_traces : int option -> unit
-(** Arm ([Some threshold]) or disarm ([None], the default) the
-    trace-recording tier ({!Vm.Trace}) for every subsequent measurement:
-    on the Fast engine, a loop whose backedge executes [threshold] times
-    is recorded and compiled to a fused superinstruction closure.
-    Traced execution is bit-identical on every observable, so results
-    are trace-invariant; run keys still carry the setting so trace-on
-    and trace-off runs never alias in the cache.  Ignored by [`Ref]. *)
+(** {!configure} with only [traces] changed.  Kept for the layer tracer
+    ([perfbench/layers]), which arms the trace tier this way. *)
 
-val current_traces : unit -> int option
-
-val set_chaos : int option -> unit
-(** Arm ([Some seed]) or disarm ([None], the default) chaos mode: every
-    subsequent measurement runs under a deterministic {!Fault.plan}
-    derived from the seed and the cell's (benchmark, scale) — and only
-    those, so results are independent of worker count and execution
-    order.  With chaos off, runs are bit-identical to a build without
-    fault injection at all. *)
-
-val set_watchdog : float -> unit
-(** Per-measurement wall-clock budget in seconds (default 600).  A cell
-    exceeding it aborts with a watchdog {!Vm.Interp.Runtime_error}
-    (classified ["timeout"] by {!Robust}).  [<= 0] disables the watchdog
-    and the VM never reads the clock. *)
+val engine_str : [ `Ref | `Fast ] -> string
+(** The one spelling of an engine (["ref"], ["fast"]) used by run keys,
+    job lines and checkpoint metadata. *)
 
 type metrics = {
   cycles : int;
@@ -77,12 +80,12 @@ type metrics = {
          fault-injected to fail *)
 }
 
-val run_baseline : ?engine:[ `Ref | `Fast ] -> build -> metrics
-(** The denominator of every overhead figure.  [engine] defaults to
-    {!current_engine}.  Cached through {!Runcache} under the canonical
-    run key ({!Digest.run_config}), so a baseline is measured once per
-    content-identical configuration — across every table driver, every
-    domain, and (with [--cache]) every process. *)
+val run_baseline : build -> metrics
+(** The denominator of every overhead figure.  Cached through
+    {!Runcache} under the canonical run key ({!Digest.run_config}), so a
+    baseline is measured once per content-identical configuration —
+    across every table driver, every domain, and (with [--cache]) every
+    process. *)
 
 val run_transformed :
   ?engine:[ `Ref | `Fast ] ->
@@ -95,10 +98,13 @@ val run_transformed :
 (** Applies [transform] to every function of the build (backend passes
     afterwards are not re-run: overhead measurement isolates the
     framework), links, and runs with a fresh collector.  Default trigger
-    is [Never] (framework-overhead configurations).  [recording]
-    overrides {!current_recording} for this run only — service jobs
-    ({!Serve}) carry their own recording path and must not mutate the
-    session-wide setting under concurrent siblings.  Cached through
+    is [Never] (framework-overhead configurations).  [engine]
+    overrides the session's engine for this run only — service jobs
+    ({!Serve}) carry their own engine and must not mutate the session
+    configuration under concurrent siblings.  [recording] defaults to
+    [`Slots]; [`Legacy] runs the event-by-event
+    {!Profiles.Collector.hooks}, bit-identical and kept only as the
+    tests' oracle (its runs are keyed apart).  Cached through
     {!Runcache} keyed by the digest of the transformed code plus the
     full run configuration, so identical cells requested by different
     drivers execute once.  Failing runs (chaos faults, watchdog) are
@@ -115,7 +121,6 @@ type adaptive_metrics = {
 }
 
 val run_adaptive :
-  ?engine:[ `Ref | `Fast ] ->
   ?trigger:Core.Sampler.trigger ->
   ?timer_period:int ->
   ?config:Adaptive.Controller.config ->
@@ -123,16 +128,15 @@ val run_adaptive :
   build ->
   adaptive_metrics
 (** Like {!run_transformed}, but with the adaptive loop armed
-    ({!Adaptive.Controller}): the run records through flat slots
-    (regardless of {!set_recording} — the controller reads the live
-    profile from the recorder), polls the controller at safepoints, and
-    hot-swaps recompiled method versions mid-run.  Default [trigger] is
+    ({!Adaptive.Controller}): the run records through flat slots (the
+    controller reads the live profile from the recorder), polls the
+    controller at safepoints, and hot-swaps recompiled method versions
+    mid-run.  Default [trigger] is
     [Counter 64] (the loop needs samples to steer by).  Cached like
     every other measurement, keyed additionally by the rendered
     controller config. *)
 
 val adaptive_wall :
-  ?engine:[ `Ref | `Fast ] ->
   ?trigger:Core.Sampler.trigger ->
   ?timer_period:int ->
   ?config:Adaptive.Controller.config ->

@@ -60,7 +60,7 @@ let mix seed i k =
   let h = h * 97_001 in
   abs (h lxor (h lsr 7))
 
-let job ~seed ~engine ~recording i =
+let job ~seed ~engine i =
   {
     Job.bench = nth_mod fleet_benches (mix seed i 1);
     scale = Some (nth_mod fleet_scales (mix seed i 2));
@@ -68,7 +68,6 @@ let job ~seed ~engine ~recording i =
     specs = nth_mod fleet_specs (mix seed i 4);
     trigger = nth_mod fleet_triggers (mix seed i 5);
     engine;
-    recording;
     poison = false;
   }
 
@@ -80,12 +79,11 @@ let poison_job i =
     specs = [ "call-edge" ];
     trigger = Job.Counter { interval = 100 + i; jitter = 0 };
     engine = `Fast;
-    recording = `Slots;
     poison = true;
   }
 
-let jobs ?(engine = `Fast) ?(recording = `Slots) ?(poison = 0) ~seed ~n () =
-  let normal = List.init n (fun i -> job ~seed ~engine ~recording i) in
+let jobs ?(engine = `Fast) ?(poison = 0) ~seed ~n () =
+  let normal = List.init n (fun i -> job ~seed ~engine i) in
   if poison <= 0 then normal
   else begin
     (* poison jobs are spread through the fleet, distinct by trigger so

@@ -23,7 +23,6 @@ type fleet_stats = {
 
 val jobs :
   ?engine:[ `Ref | `Fast ] ->
-  ?recording:[ `Slots | `Legacy ] ->
   ?poison:int ->
   seed:int ->
   n:int ->

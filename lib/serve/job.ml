@@ -20,7 +20,6 @@ type t = {
   specs : string list;
   trigger : trigger;
   engine : [ `Ref | `Fast ];
-  recording : [ `Slots | `Legacy ];
   poison : bool;
       (* a deliberately broken job (raises a bug-classified failure
          instead of running): the fault-injection hook chaos fleets and
@@ -69,18 +68,15 @@ let trigger_str = function
   | Always -> "always"
   | Never -> "never"
 
-let engine_str = function `Ref -> "ref" | `Fast -> "fast"
-let recording_str = function `Slots -> "slots" | `Legacy -> "legacy"
-
 let render j =
   Printf.sprintf
-    "bench=%s scale=%s variant=%s specs=%s trigger=%s engine=%s recording=%s \
-     poison=%s"
+    "bench=%s scale=%s variant=%s specs=%s trigger=%s engine=%s poison=%s"
     j.bench
     (match j.scale with Some s -> string_of_int s | None -> "default")
     j.variant
     (String.concat "," j.specs)
-    (trigger_str j.trigger) (engine_str j.engine) (recording_str j.recording)
+    (trigger_str j.trigger)
+    (Harness.Measure.engine_str j.engine)
     (if j.poison then "yes" else "no")
 
 let digest j = Harness.Digest.hex (render j)
@@ -132,7 +128,7 @@ let parse line =
           (List.mem k
              [
                "bench"; "scale"; "variant"; "specs"; "trigger"; "engine";
-               "recording"; "poison";
+               "poison";
              ])
       then bad line "unknown field %s" k)
     fields;
@@ -166,19 +162,13 @@ let parse line =
     | "fast" -> `Fast
     | s -> bad line "unknown engine %s" s
   in
-  let recording =
-    match get "recording" with
-    | "slots" -> `Slots
-    | "legacy" -> `Legacy
-    | s -> bad line "unknown recording %s" s
-  in
   let poison =
     match get "poison" with
     | "yes" -> true
     | "no" -> false
     | s -> bad line "bad poison flag %s" s
   in
-  { bench; scale; variant; specs; trigger; engine; recording; poison }
+  { bench; scale; variant; specs; trigger; engine; poison }
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
@@ -229,7 +219,7 @@ let execute_full j =
   let spec = spec_of_names j.specs in
   let transform = transform_of_variant spec j.variant in
   let m =
-    Harness.Measure.run_transformed ~engine:j.engine ~recording:j.recording
+    Harness.Measure.run_transformed ~engine:j.engine
       ~trigger:(sampler_trigger j.trigger) ~transform build
   in
   ( {

@@ -1,7 +1,7 @@
 (** Profiling jobs: the unit of work [isf serve] accepts from clients.
 
     A job is pure data — benchmark, scale, instrumentation variant and
-    specs, sampling trigger, engine, recording path — with a canonical
+    specs, sampling trigger, engine — with a canonical
     one-line rendering that doubles as the wire format, the job-file
     format and the journal format.  [parse] and [render] are exact
     inverses on canonical lines, and {!digest} (the MD5 of the
@@ -28,7 +28,6 @@ type t = {
   specs : string list;  (** non-empty; keys into {!instr_kinds} *)
   trigger : trigger;
   engine : [ `Ref | `Fast ];
-  recording : [ `Slots | `Legacy ];
   poison : bool;
       (** deliberately broken: {!execute} raises a bug-classified
           failure instead of running — the injection hook chaos fleets
@@ -52,7 +51,8 @@ val render : t -> string
 
 val parse : string -> t
 (** Inverse of {!render}; raises [Failure "bad job ..."] on anything
-    malformed (unknown variant/spec/trigger/engine, bad scale).  An
+    malformed (unknown field, variant, spec, trigger or engine; bad
+    scale).  An
     unknown {e benchmark} parses fine and fails at execution time,
     classified ["bug"] — a poison job, exactly what the quarantine is
     for. *)

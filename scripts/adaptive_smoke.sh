@@ -1,11 +1,11 @@
 #!/bin/sh
 # Adaptive-invariance smoke test: with the adaptive loop OFF (the
 # default), `isf table all` must be byte-identical across every
-# configuration the loop could conceivably perturb — both engines, both
-# recording paths, and cold/warm against a persistent run cache.  The
-# adaptive tier (lib/adaptive) hooks into the VM through fields that are
-# inert unless --adaptive arms them; this script is the end-to-end check
-# that merely linking the tier costs zero bytes of output.
+# configuration the loop could conceivably perturb — both engines and
+# cold/warm against a persistent run cache.  The adaptive tier
+# (lib/adaptive) hooks into the VM through fields that are inert unless
+# --adaptive arms them; this script is the end-to-end check that merely
+# linking the tier costs zero bytes of output.
 #
 # A final sanity leg runs the adaptive experiment (the loop ON, with
 # its governor) on both engines and requires their outputs identical to
@@ -32,8 +32,6 @@ run() {
 }
 
 run ref-engine        --engine ref
-run fast-legacy       --engine fast --recording legacy
-run ref-legacy        --engine ref  --recording legacy
 run cache-cold        --engine fast --cache "$DIR/cache"
 run cache-warm        --engine fast --cache "$DIR/cache"
 

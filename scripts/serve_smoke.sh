@@ -1,12 +1,11 @@
 #!/bin/sh
-# Serve-mode smoke test (ISSUE 8): for every engine x recording
-# combination, emit a deterministic fleet, run it sequentially as the
-# byte-identity reference, then drain it through a multi-worker daemon
-# with a journal and a shared cache — SIGKILL the daemon mid-fleet,
-# restart it on the same journal, and require zero lost jobs and
-# results byte-identical to the reference.  Also exercises the socket
-# front-end, graceful SIGTERM shutdown, and two daemons sharing one
-# --cache directory.
+# Serve-mode smoke test: for each engine, emit a deterministic fleet,
+# run it sequentially as the byte-identity reference, then drain it
+# through a multi-worker daemon with a journal and a shared cache —
+# SIGKILL the daemon mid-fleet, restart it on the same journal, and
+# require zero lost jobs and results byte-identical to the reference.
+# Also exercises the socket front-end, graceful SIGTERM shutdown, and
+# two daemons sharing one --cache directory.
 #
 # Usage: scripts/serve_smoke.sh [path-to-isf]
 set -eu
@@ -19,13 +18,11 @@ N=16
 CACHE=$DIR/cache
 
 for engine in fast ref; do
-  for recording in slots legacy; do
-    tag="$engine-$recording"
+    tag=$engine
     JOBS=$DIR/jobs.$tag
     JOURNAL=$DIR/journal.$tag
 
-    "$ISF" fleet -n $N --seed 11 --engine "$engine" --recording "$recording" \
-        --emit "$JOBS" > /dev/null
+    "$ISF" fleet -n $N --seed 11 --engine "$engine" --emit "$JOBS" > /dev/null
 
     # the uninterrupted sequential reference
     "$ISF" fleet --file "$JOBS" --sequential --out "$DIR/expected.$tag" \
@@ -58,14 +55,13 @@ for engine in fast ref; do
         exit 1
     fi
     echo "[$tag] resume byte-identical ($(grep -o '[0-9]* replayed' "$DIR/resume_log.$tag" | head -1 || echo '? replayed') from journal)"
-  done
 done
 
 # a journal written under one configuration refuses a different one
-if "$ISF" serve --job-file "$DIR/jobs.fast-slots" \
+if "$ISF" serve --job-file "$DIR/jobs.fast" \
     --journal "$DIR/journal.fast-ref-mismatch" --chaos 7 \
     --results /dev/null > /dev/null 2>&1 && \
-   "$ISF" serve --job-file "$DIR/jobs.fast-slots" \
+   "$ISF" serve --job-file "$DIR/jobs.fast" \
     --journal "$DIR/journal.fast-ref-mismatch" --chaos 8 \
     --results /dev/null > /dev/null 2>&1; then
     echo "FAIL: journal accepted a mismatched daemon configuration" >&2
@@ -80,9 +76,9 @@ SPID=$!
 for i in $(seq 1 50); do [ -S "$SOCK" ] && break; sleep 0.1; done
 [ -S "$SOCK" ] || { echo "FAIL: daemon never bound $SOCK" >&2; exit 1; }
 
-"$ISF" fleet --file "$DIR/jobs.fast-slots" --socket "$SOCK" \
+"$ISF" fleet --file "$DIR/jobs.fast" --socket "$SOCK" \
     --out "$DIR/socket.txt" > /dev/null
-cmp -s "$DIR/expected.fast-slots" "$DIR/socket.txt" || {
+cmp -s "$DIR/expected.fast" "$DIR/socket.txt" || {
     echo "FAIL: socket results differ from the sequential reference" >&2
     exit 1
 }
@@ -100,7 +96,7 @@ echo "socket mode OK, SIGTERM exits 143 and unlinks the socket"
 "$ISF" fleet -n $N --seed 23 --emit "$DIR/jobs.share2" > /dev/null
 "$ISF" fleet --file "$DIR/jobs.share2" --sequential --out "$DIR/expected.share2" \
     > /dev/null
-"$ISF" serve --job-file "$DIR/jobs.fast-slots" --cache "$CACHE" -j 2 \
+"$ISF" serve --job-file "$DIR/jobs.fast" --cache "$CACHE" -j 2 \
     --results "$DIR/share1.txt" > /dev/null &
 P1=$!
 "$ISF" serve --job-file "$DIR/jobs.share2" --cache "$CACHE" -j 2 \
@@ -108,7 +104,7 @@ P1=$!
 P2=$!
 wait "$P1" || { echo "FAIL: shared-cache daemon 1 failed" >&2; exit 1; }
 wait "$P2" || { echo "FAIL: shared-cache daemon 2 failed" >&2; exit 1; }
-cmp -s "$DIR/expected.fast-slots" "$DIR/share1.txt" || {
+cmp -s "$DIR/expected.fast" "$DIR/share1.txt" || {
     echo "FAIL: shared-cache daemon 1 results differ" >&2; exit 1; }
 cmp -s "$DIR/expected.share2" "$DIR/share2.txt" || {
     echo "FAIL: shared-cache daemon 2 results differ" >&2; exit 1; }

@@ -2,9 +2,9 @@
 # Trace-invariance smoke test: the trace tier must change wall-clock
 # only, never a byte of output.  `isf table all` with traces armed must
 # be byte-identical to traces-off — on both engines (the reference
-# ignores the flag), under both recording paths, with deterministic
-# chaos, and through a cold and a warm run cache (the trace setting is
-# part of the run key, so trace-on and trace-off cells never alias).
+# ignores the flag), with deterministic chaos, and through a cold and a
+# warm run cache (the trace setting is part of the run key, so trace-on
+# and trace-off cells never alias).
 #
 # A low threshold (8) is used for most legs so the small table-cell
 # scales actually record and run traces; one leg uses the CLI default
@@ -34,7 +34,6 @@ run() {
 run on             off --engine fast --traces 8
 run on-default     off --engine fast --traces on
 run on-ref         off --engine ref  --traces 8
-run on-legacy      off --engine fast --traces 8 --recording legacy
 run on-cache-cold  off --engine fast --traces 8 --cache "$DIR/cache"
 run on-cache-warm  off --engine fast --traces 8 --cache "$DIR/cache"
 

@@ -4,9 +4,10 @@
    alias), the two-tier hit path, tolerance of corrupt and truncated
    disk entries, loud refusal of digest collisions and incompatible
    cache versions, compute-once under domain races, byte-identical
-   table output cold vs. warm across both engines and both recording
-   paths, chaos isolation, checkpoint composition, and full scheduler
-   coverage of a driver's cells. *)
+   table output cold vs. warm across both engines, the legacy recorder
+   as a cached oracle of flat-slot runs, a memory reset that really
+   forgets every measurement, chaos isolation, checkpoint composition,
+   and full scheduler coverage of a driver's cells. *)
 
 let check = Alcotest.check
 let check_bool = Alcotest.(check bool)
@@ -189,13 +190,10 @@ let fresh_table () =
 
 let test_cold_warm_byte_identical () =
   List.iter
-    (fun (engine, recording) ->
-      M.set_engine engine;
-      M.set_recording recording;
+    (fun engine ->
+      M.configure { M.default with engine };
       Fun.protect
-        ~finally:(fun () ->
-          M.set_engine `Fast;
-          M.set_recording `Slots)
+        ~finally:(fun () -> M.configure M.default)
         (fun () ->
           R.reset_memory ();
           let plain = fresh_table () in
@@ -209,21 +207,78 @@ let test_cold_warm_byte_identical () =
               let s = R.stats () in
               check_int "warm run misses nothing" 0 s.R.misses;
               check_bool "warm run served from disk" true (s.R.disk_hits > 0))))
-    [ (`Ref, `Slots); (`Ref, `Legacy); (`Fast, `Slots); (`Fast, `Legacy) ]
+    [ `Ref; `Fast ]
+
+(* Tables record through flat slots; the legacy event-by-event
+   recorder is their oracle, run at Measure level.  One
+   transform and trigger through both must agree on every observable
+   and every decoded profile, be stored as two distinct entries, and
+   both come back from disk after a memory reset. *)
+let test_legacy_oracle_through_measure () =
+  let transform = Core.Transform.full_dup Harness.Common.both_specs in
+  let trigger = Core.Sampler.Counter { interval = 100; jitter = 0 } in
+  let run recording bench =
+    M.run_transformed ~recording ~trigger ~transform (M.prepare ~scale:1 bench)
+  in
+  let observe (m : M.metrics) =
+    ( (m.M.cycles, m.M.instructions, m.M.checks, m.M.samples, m.M.output),
+      Profiles.Report.to_csv m.M.collector )
+  in
+  let agree what slots legacy =
+    check_bool (what ^ ": legacy == slots") true
+      (observe slots = observe legacy);
+    check_bool (what ^ ": profile not empty") true
+      (snd (observe slots) <> [])
+  in
+  with_cache (tmp_dir "legacy") (fun () ->
+      List.iter
+        (fun bench ->
+          let name = bench.Workloads.Suite.bname in
+          let before = R.stats () in
+          let slots = run `Slots bench in
+          let legacy = run `Legacy bench in
+          agree name slots legacy;
+          check_int (name ^ ": two distinct entries stored") 2
+            ((R.stats ()).R.stores - before.R.stores);
+          R.reset_memory ();
+          let warm_slots = run `Slots bench in
+          let warm_legacy = run `Legacy bench in
+          agree (name ^ " warm") warm_slots warm_legacy;
+          check_bool (name ^ ": warm == cold") true
+            (observe warm_slots = observe slots);
+          let s = R.stats () in
+          check_int (name ^ ": both served from disk") 2 s.R.disk_hits;
+          check_int (name ^ ": nothing recomputed") 0 s.R.misses;
+          R.reset_memory ())
+        (benches ()))
+
+(* [Runcache.reset_memory] is "as if the process had just started": a
+   derived measurement such as the perfect profiles must consult the
+   run cache again afterwards, exactly as a fresh process would. *)
+let test_reset_forgets_perfect_profiles () =
+  let perfect () =
+    Harness.Common.perfect_profiles
+      (M.prepare ~scale:1 (Workloads.Suite.find "db"))
+  in
+  let first = perfect () in
+  R.reset_memory ();
+  let again = perfect () in
+  check_int "a fresh start misses the run cache once" 1 (R.stats ()).R.misses;
+  check_bool "same profiles" true (first = again);
+  R.reset_memory ()
 
 let test_chaos_never_aliases_clean () =
   let dir = tmp_dir "chaos" in
   with_cache dir (fun () ->
       let cold = fresh_table () in
       R.reset_memory ();
-      M.set_chaos (Some 11);
+      M.configure { M.default with chaos = Some 11 };
       Fun.protect
-        ~finally:(fun () -> M.set_chaos None)
+        ~finally:(fun () -> M.configure M.default)
         (fun () -> ignore (fresh_table ()));
       let s = R.stats () in
       check_int "no chaos cell served from a clean entry" 0 s.R.disk_hits;
       check_bool "chaos cells were computed" true (s.R.misses > 0);
-      M.set_chaos None;
       R.reset_memory ();
       let warm = fresh_table () in
       check_str "clean results undisturbed by the chaos run" cold warm;
@@ -364,8 +419,12 @@ let suite =
           test_version_mismatch_refused;
         Alcotest.test_case "racing domains compute once" `Quick
           test_race_computes_once;
-        Alcotest.test_case "cold == warm, both engines x both recordings"
-          `Quick test_cold_warm_byte_identical;
+        Alcotest.test_case "cold == warm, both engines" `Quick
+          test_cold_warm_byte_identical;
+        Alcotest.test_case "legacy recorder is a cached oracle of slots"
+          `Quick test_legacy_oracle_through_measure;
+        Alcotest.test_case "memory reset forgets perfect profiles" `Quick
+          test_reset_forgets_perfect_profiles;
         Alcotest.test_case "chaos never aliases clean entries" `Quick
           test_chaos_never_aliases_clean;
         Alcotest.test_case "checkpoint and cache compose" `Quick

@@ -51,34 +51,40 @@ let test_job_roundtrip () =
     (List.length (List.sort_uniq compare digests))
 
 let test_job_parse_is_loud () =
-  let bad line =
+  let bad ?(reason = "") line =
     check_bool (Printf.sprintf "%S is refused" line) true
       (try
          ignore (Job.parse line);
          false
-       with Failure m -> String.length m > 0)
+       with Failure m ->
+         String.length m > 0 && String.ends_with ~suffix:reason m)
   in
   bad "";
   bad "bench=jess";
   bad "not a job line at all";
   bad
     "bench=jess scale=1 variant=bogus specs=call-edge trigger=never \
-     engine=fast recording=slots poison=no";
+     engine=fast poison=no";
   bad
     "bench=jess scale=1 variant=full-dup specs=bogus trigger=never \
-     engine=fast recording=slots poison=no";
+     engine=fast poison=no";
   bad
     "bench=jess scale=1 variant=full-dup specs=call-edge trigger=bogus \
-     engine=fast recording=slots poison=no";
+     engine=fast poison=no";
   bad
     "bench=jess scale=x variant=full-dup specs=call-edge trigger=never \
+     engine=fast poison=no";
+  (* jobs always record through flat slots: a line naming a recording
+     path is refused by name, not silently ignored *)
+  bad ~reason:"unknown field recording"
+    "bench=jess scale=1 variant=full-dup specs=call-edge trigger=never \
      engine=fast recording=slots poison=no";
   (* an unknown benchmark parses: it fails at execution, classified
      "bug" — a poison job, which is what the quarantine is for *)
   let j =
     Job.parse
       "bench=no-such-bench scale=1 variant=full-dup specs=call-edge \
-       trigger=never engine=fast recording=slots poison=no"
+       trigger=never engine=fast poison=no"
   in
   check_str "unknown bench parses" "no-such-bench" j.Job.bench;
   check_str "and fails bug-classified" "bug"
@@ -306,7 +312,6 @@ let test_poison_job_quarantined_not_retried_forever () =
           specs = [ "call-edge" ];
           trigger = Job.Never;
           engine = `Fast;
-          recording = `Slots;
           poison = true;
         }
       in
@@ -471,7 +476,6 @@ let test_quarantine_survives_restart () =
           specs = [ "call-edge" ];
           trigger = Job.Always;
           engine = `Fast;
-          recording = `Slots;
           poison = true;
         }
       in
