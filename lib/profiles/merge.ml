@@ -1,4 +1,4 @@
-(* Cross-shard profile aggregation (ROADMAP item 3).
+(* Cross-shard profile aggregation (DESIGN.md §12).
 
    A fleet run produces one decoded profile per job; this module folds
    them into a single aggregate of all seven kinds.  The aggregate is a

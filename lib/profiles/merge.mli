@@ -1,4 +1,4 @@
-(** Cross-shard profile aggregation (ROADMAP item 3): folds the decoded
+(** Cross-shard profile aggregation (DESIGN.md §12): folds the decoded
     profiles of many runs — all seven kinds — into one canonical
     aggregate with deterministic output.
 

@@ -5,6 +5,9 @@
     static offsets, class ids, call targets and switch tables looked up at
     compile time, straight-line runs fused into a single dispatch — and
     runs the same {!Machine.state} as the reference interpreter.
+    Straight-line words are the shared {!Ops} bodies; the engine lands
+    their static charges itself, per word in the word-by-word chain and
+    once per fused run at its exit.
 
     The engine is observationally {e bit-identical} to [Interp.step]'s
     loop: same return value, cycles, instruction count, event counters,

@@ -1,4 +1,4 @@
-(* Trace-recording JIT tier (ROADMAP item 2).
+(* Trace-recording JIT tier (DESIGN.md §10).
 
    The sampling apparatus already finds hot loops for free: the backedge
    yieldpoints the engine compiles are exactly a trace JIT's hot-loop
@@ -207,18 +207,17 @@ type item =
   | It_ret of Program.meth * int * Lir.terminator
       (* returning method version, block of the return, the terminator *)
 
-(* Trace-unfriendly words abort recording *before* they execute, so the
-   abort leaves the machine at a clean position for the per-method code
-   to resume: dynamically-sized allocations (unbounded charge defeats
-   the precheck's static cost bound) and intrinsics that reschedule or
-   spawn.  Calls are traced through (the recording stepper descends
-   into the callee naturally); only depth past [max_depth] aborts. *)
-let untraceable = function
-  | Lir.New_array _ -> true
-  | Lir.Intrinsic { name = "print"; args = [ _ ]; _ } -> false
-  | Lir.Intrinsic { name = "rand"; args = [ _ ]; _ } -> false
-  | Lir.Intrinsic _ -> true
-  | _ -> false
+(* Words replayed in a trace besides calls: the straight-line words and
+   the three with their own trace code.  The rest — dynamically-sized
+   allocations (an unbounded charge defeats the precheck's static cost
+   bound) and intrinsics that reschedule or spawn — abort recording
+   *before* they execute, so the abort leaves the machine at a clean
+   position for the per-method code to resume.  Calls are traced
+   through (the recording stepper descends into the callee naturally);
+   only depth past [max_depth] aborts. *)
+let traceable = function
+  | Lir.Yieldpoint _ | Lir.Instrument _ | Lir.Guarded_instrument _ -> true
+  | ins -> Ops.straight_line ins
 
 exception Abort
 
@@ -337,7 +336,7 @@ let record_core st ~anchor ~ablk ~ni ~require_step ~max_len =
              mstack := callee.m :: !mstack;
              incr n
          | _ ->
-             if untraceable ins then raise Abort;
+             if not (traceable ins) then raise Abort;
              let pb = f.blk and pi = f.idx in
              let m = f.m in
              fuel_check st;
@@ -382,24 +381,6 @@ let record st ni =
 (* ------------------------------------------------------------------ *)
 (* Trace compilation                                                   *)
 (* ------------------------------------------------------------------ *)
-
-let binop_fn = function
-  | Lir.Add -> ( + )
-  | Lir.Sub -> ( - )
-  | Lir.Mul -> ( * )
-  | Lir.Div -> fun a b -> if b = 0 then rt_err "division by zero" else a / b
-  | Lir.Rem -> fun a b -> if b = 0 then rt_err "division by zero" else a mod b
-  | Lir.And -> ( land )
-  | Lir.Or -> ( lor )
-  | Lir.Xor -> ( lxor )
-  | Lir.Shl -> fun a b -> a lsl (b land 31)
-  | Lir.Shr -> fun a b -> a asr (b land 31)
-  | Lir.Lt -> fun a b -> if a < b then 1 else 0
-  | Lir.Le -> fun a b -> if a <= b then 1 else 0
-  | Lir.Gt -> fun a b -> if a > b then 1 else 0
-  | Lir.Ge -> fun a b -> if a >= b then 1 else 0
-  | Lir.Eq -> fun a b -> if a = b then 1 else 0
-  | Lir.Ne -> fun a b -> if a <> b then 1 else 0
 
 (* Branch traces: a guard that keeps failing marks a hot alternate path
    through the loop.  After [branch_threshold] unpatched failures the
@@ -594,10 +575,6 @@ let rec compile_chain st (ts : tstate) (root : itrace) ~base_cost ~base_depth
       g_patches = [];
     }
   in
-  let ev = function
-    | Lir.Reg r -> fun (fr : frame) -> fr.regs.(r)
-    | Lir.Imm n -> fun (_ : frame) -> n
-  in
   (* the flat-recorder bump of [Machine.record_flat], minus the cycle
      charge (batched when unconditional, dynamic when guarded) *)
   let flat_bump (r : flat_recorder) e st =
@@ -666,336 +643,8 @@ let rec compile_chain st (ts : tstate) (root : itrace) ~base_cost ~base_depth
         end;
         next st)
   in
-  let emit_instr mstr ins =
+  let emit_instr m ins =
     match ins with
-    | Lir.Move (r, Lir.Imm n) ->
-        stat costs.Costs.move;
-        add (fun next st ->
-            st.cur_fr.regs.(r) <- n;
-            next st)
-    | Lir.Move (r, Lir.Reg s) ->
-        stat costs.Costs.move;
-        add (fun next st ->
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(s);
-            next st)
-    | Lir.Unop (r, op, a) -> (
-        stat costs.Costs.alu;
-        match (op, a) with
-        | Lir.Neg, Lir.Reg s ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- -regs.(s);
-                next st)
-        | Lir.Not, Lir.Reg s ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(s) = 0 then 1 else 0);
-                next st)
-        | Lir.Neg, Lir.Imm n ->
-            let v = -n in
-            add (fun next st ->
-                st.cur_fr.regs.(r) <- v;
-                next st)
-        | Lir.Not, Lir.Imm n ->
-            let v = if n = 0 then 1 else 0 in
-            add (fun next st ->
-                st.cur_fr.regs.(r) <- v;
-                next st))
-    | Lir.Binop (r, op, a, b) -> (
-        stat costs.Costs.alu;
-        match (op, a, b) with
-        (* hand-specialized hot operators, like the engine: without
-           flambda a shared operator closure is an indirect call per op *)
-        | Lir.Add, Lir.Reg x, Lir.Reg y ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- regs.(x) + regs.(y);
-                next st)
-        | Lir.Add, Lir.Reg x, Lir.Imm n ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- regs.(x) + n;
-                next st)
-        | Lir.Sub, Lir.Reg x, Lir.Reg y ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- regs.(x) - regs.(y);
-                next st)
-        | Lir.Sub, Lir.Reg x, Lir.Imm n ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- regs.(x) - n;
-                next st)
-        | Lir.Mul, Lir.Reg x, Lir.Reg y ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- regs.(x) * regs.(y);
-                next st)
-        | Lir.Mul, Lir.Reg x, Lir.Imm n ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- regs.(x) * n;
-                next st)
-        | Lir.And, Lir.Reg x, Lir.Reg y ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- regs.(x) land regs.(y);
-                next st)
-        | Lir.Or, Lir.Reg x, Lir.Reg y ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- regs.(x) lor regs.(y);
-                next st)
-        | Lir.Xor, Lir.Reg x, Lir.Reg y ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- regs.(x) lxor regs.(y);
-                next st)
-        | Lir.Lt, Lir.Reg x, Lir.Reg y ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(x) < regs.(y) then 1 else 0);
-                next st)
-        | Lir.Lt, Lir.Reg x, Lir.Imm n ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(x) < n then 1 else 0);
-                next st)
-        | Lir.Le, Lir.Reg x, Lir.Reg y ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(x) <= regs.(y) then 1 else 0);
-                next st)
-        | Lir.Le, Lir.Reg x, Lir.Imm n ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(x) <= n then 1 else 0);
-                next st)
-        | Lir.Gt, Lir.Reg x, Lir.Reg y ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(x) > regs.(y) then 1 else 0);
-                next st)
-        | Lir.Gt, Lir.Reg x, Lir.Imm n ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(x) > n then 1 else 0);
-                next st)
-        | Lir.Ge, Lir.Reg x, Lir.Reg y ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(x) >= regs.(y) then 1 else 0);
-                next st)
-        | Lir.Ge, Lir.Reg x, Lir.Imm n ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(x) >= n then 1 else 0);
-                next st)
-        | Lir.Eq, Lir.Reg x, Lir.Reg y ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(x) = regs.(y) then 1 else 0);
-                next st)
-        | Lir.Eq, Lir.Reg x, Lir.Imm n ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(x) = n then 1 else 0);
-                next st)
-        | Lir.Ne, Lir.Reg x, Lir.Reg y ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(x) <> regs.(y) then 1 else 0);
-                next st)
-        | Lir.Ne, Lir.Reg x, Lir.Imm n ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(x) <> n then 1 else 0);
-                next st)
-        | _, Lir.Reg x, Lir.Reg y ->
-            let f = binop_fn op in
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- f regs.(x) regs.(y);
-                next st)
-        | _, Lir.Reg x, Lir.Imm n ->
-            let f = binop_fn op in
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- f regs.(x) n;
-                next st)
-        | _, Lir.Imm n, Lir.Reg y ->
-            let f = binop_fn op in
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- f n regs.(y);
-                next st)
-        | _, Lir.Imm n, Lir.Imm p ->
-            let f = binop_fn op in
-            add (fun next st ->
-                st.cur_fr.regs.(r) <- f n p;
-                next st))
-    | Lir.Get_field (r, o, fld) -> (
-        stat costs.Costs.mem;
-        if dc then maxc := !maxc + cc_miss;
-        let eo = ev o in
-        match
-          Hashtbl.find_opt prog.Program.field_offset
-            (Lir.string_of_field_ref fld)
-        with
-        | Some off ->
-            add (fun next st ->
-                let fr = st.cur_fr in
-                let obj = eo fr in
-                let fields = obj_fields st obj in
-                if dc then data_access st (cell_addr st obj + off);
-                fr.regs.(r) <- fields.(off);
-                next st)
-        | None ->
-            let fstr = Lir.string_of_field_ref fld in
-            add (fun _next st ->
-                ignore (obj_fields st (eo st.cur_fr) : int array);
-                rt_err "unresolved field %s" fstr))
-    | Lir.Put_field (o, fld, v) -> (
-        stat costs.Costs.mem;
-        if dc then maxc := !maxc + cc_miss;
-        let eo = ev o in
-        match
-          Hashtbl.find_opt prog.Program.field_offset
-            (Lir.string_of_field_ref fld)
-        with
-        | Some off ->
-            let evv = ev v in
-            add (fun next st ->
-                let fr = st.cur_fr in
-                let obj = eo fr in
-                let fields = obj_fields st obj in
-                if dc then data_access st (cell_addr st obj + off);
-                fields.(off) <- evv fr;
-                next st)
-        | None ->
-            let fstr = Lir.string_of_field_ref fld in
-            add (fun _next st ->
-                ignore (obj_fields st (eo st.cur_fr) : int array);
-                rt_err "unresolved field %s" fstr))
-    | Lir.Get_static (r, fld) -> (
-        stat costs.Costs.mem;
-        if dc then maxc := !maxc + cc_miss;
-        match
-          Hashtbl.find_opt prog.Program.static_offset
-            (Lir.string_of_field_ref fld)
-        with
-        | Some off ->
-            add (fun next st ->
-                if dc then data_access st off;
-                st.cur_fr.regs.(r) <- st.globals.(off);
-                next st)
-        | None ->
-            let fstr = Lir.string_of_field_ref fld in
-            add (fun _next _st -> rt_err "unresolved static field %s" fstr))
-    | Lir.Put_static (fld, v) -> (
-        stat costs.Costs.mem;
-        if dc then maxc := !maxc + cc_miss;
-        let evv = ev v in
-        match
-          Hashtbl.find_opt prog.Program.static_offset
-            (Lir.string_of_field_ref fld)
-        with
-        | Some off ->
-            add (fun next st ->
-                if dc then data_access st off;
-                st.globals.(off) <- evv st.cur_fr;
-                next st)
-        | None ->
-            let fstr = Lir.string_of_field_ref fld in
-            add (fun _next _st -> rt_err "unresolved static field %s" fstr))
-    | Lir.New_object (r, cname) -> (
-        match Hashtbl.find_opt prog.Program.class_id_of_name cname with
-        | Some cid ->
-            let n = prog.Program.classes.(cid).Program.n_fields in
-            let slots = max n 1 in
-            stat (costs.Costs.alloc_base + (costs.Costs.alloc_per_slot * n));
-            add (fun next st ->
-                st.cur_fr.regs.(r) <-
-                  alloc st (Obj { cls = cid; fields = Array.make slots 0 });
-                next st)
-        | None -> add (fun _next _st -> rt_err "unknown class %s" cname))
-    | Lir.Array_load (r, a, i) ->
-        stat costs.Costs.mem;
-        if dc then maxc := !maxc + cc_miss;
-        let ea = ev a in
-        let ei = ev i in
-        add (fun next st ->
-            let fr = st.cur_fr in
-            let arr = ea fr in
-            let cells = arr_cells st arr in
-            let i = ei fr in
-            if i < 0 || i >= Array.length cells then
-              rt_err "array index %d out of bounds (%s)" i mstr;
-            if dc then data_access st (cell_addr st arr + i);
-            fr.regs.(r) <- cells.(i);
-            next st)
-    | Lir.Array_store (a, i, v) ->
-        stat costs.Costs.mem;
-        if dc then maxc := !maxc + cc_miss;
-        let ea = ev a in
-        let ei = ev i in
-        let evv = ev v in
-        add (fun next st ->
-            let fr = st.cur_fr in
-            let arr = ea fr in
-            let cells = arr_cells st arr in
-            let i = ei fr in
-            if i < 0 || i >= Array.length cells then
-              rt_err "array index %d out of bounds (%s)" i mstr;
-            if dc then data_access st (cell_addr st arr + i);
-            cells.(i) <- evv fr;
-            next st)
-    | Lir.Array_length (r, a) ->
-        stat costs.Costs.mem;
-        let ea = ev a in
-        add (fun next st ->
-            let fr = st.cur_fr in
-            fr.regs.(r) <- Array.length (arr_cells st (ea fr));
-            next st)
-    | Lir.Instance_test (r, o, cname) ->
-        stat (costs.Costs.mem + costs.Costs.alu);
-        let eo = ev o in
-        let cid =
-          match Hashtbl.find_opt prog.Program.class_id_of_name cname with
-          | Some cid -> cid
-          | None -> -1
-        in
-        add (fun next st ->
-            let fr = st.cur_fr in
-            let v = eo fr in
-            fr.regs.(r) <-
-              (if v <= 0 || v > Ir.Vec.length st.heap then 0
-               else
-                 match Ir.Vec.unsafe_get st.heap (v - 1) with
-                 | Obj obj -> if obj.cls = cid then 1 else 0
-                 | Arr _ -> 0);
-            next st)
-    | Lir.Intrinsic { dst = _; name = "print"; args = [ a ] } ->
-        stat costs.Costs.intrinsic;
-        let e = ev a in
-        add (fun next st ->
-            Buffer.add_string st.out (string_of_int (e st.cur_fr));
-            Buffer.add_char st.out '\n';
-            next st)
-    | Lir.Intrinsic { dst; name = "rand"; args = [ a ] } -> (
-        stat costs.Costs.intrinsic;
-        let e = ev a in
-        match dst with
-        | Some r ->
-            add (fun next st ->
-                let fr = st.cur_fr in
-                fr.regs.(r) <- next_rand st (e fr);
-                next st)
-        | None ->
-            add (fun next st ->
-                ignore (next_rand st (e st.cur_fr) : int);
-                next st))
     | Lir.Yieldpoint k ->
         (* the precheck guarantees no timer tick, fault, adaptive poll
            or pending switch anywhere in the iteration, and the version
@@ -1007,10 +656,13 @@ let rec compile_chain st (ts : tstate) (root : itrace) ~base_cost ~base_depth
         | Lir.Yp_entry -> incr p_eyps)
     | Lir.Instrument op -> emit_instrument op
     | Lir.Guarded_instrument op -> emit_guarded op
-    | Lir.Call _ | Lir.New_array _ | Lir.Intrinsic _ ->
-        (* calls are recorded as [It_call] items; [record] aborts before
-           the rest — none of them can be here *)
-        rt_err "untraceable word recorded in %s" mstr
+    | _ ->
+        (* a straight-line word ([record] aborts before any other): the
+           shared body, its charge batched into the pending segment *)
+        let o = Ops.compile costs prog m ins in
+        stat o.Ops.charge;
+        if dc && o.Ops.dmiss then maxc := !maxc + cc_miss;
+        add o.Ops.body
   in
   let emit_term t taken fired =
     match t with
@@ -1108,11 +760,13 @@ let rec compile_chain st (ts : tstate) (root : itrace) ~base_cost ~base_depth
     match ic_ins with
     | Lir.Call { dst; kind; target = _; args; site } ->
         let nargs = List.length args in
-        let aev = Array.of_list (List.map ev args) in
+        let aev = Array.of_list (List.map Ops.operand args) in
         (match kind with
         | Lir.Virtual ->
             flush ();
-            let e0 = match args with a :: _ -> ev a | [] -> fun _ -> 0 in
+            let e0 =
+              match args with a :: _ -> Ops.operand a | [] -> fun _ -> 0
+            in
             let g = mk_guard () in
             add (fun next st ->
                 let recv = e0 st.cur_fr in
@@ -1203,7 +857,7 @@ let rec compile_chain st (ts : tstate) (root : itrace) ~base_cost ~base_depth
             | [] -> rt_err "corrupt trace: return below the anchor");
             next st)
     | Lir.Return (Some op) ->
-        let e = ev op in
+        let e = Ops.operand op in
         add (fun next st ->
             let th = st.cur_th in
             let dead = st.cur_fr in
@@ -1224,7 +878,7 @@ let rec compile_chain st (ts : tstate) (root : itrace) ~base_cost ~base_depth
       match item with
       | It_op (m, pb, pi, ins) ->
           word (m.Program.code_addr.(pb) + pi);
-          emit_instr (Lir.string_of_method_ref m.Program.mref) ins
+          emit_instr m ins
       | It_term (m, pb, t, taken, fired) ->
           word
             (m.Program.code_addr.(pb)

@@ -1,10 +1,11 @@
 (** Trace-recording JIT tier: hot-loop traces compiled to fused
-    superinstruction closures (ROADMAP item 2, DESIGN.md §10).
+    superinstruction closures (DESIGN.md §10).
 
     When a backedge's per-run counter crosses
     {!Machine.state.trace_threshold}, one loop iteration is recorded
     through the reference stepper and compiled into a fused closure
-    chain: pc chaining constant-folded, cycle costs and flat-slot
+    chain: pc chaining constant-folded, straight-line words replayed
+    through the shared {!Ops} bodies, cycle costs and flat-slot
     recorder charges pre-summed per straight-line segment, guards at
     every conditional side-exiting back to per-method closure code at
     the precise pc/register state.  Recording traces through calls

@@ -1,4 +1,4 @@
-(* Property suite for Profiles.Merge (ROADMAP item 3): cross-shard
+(* Property suite for Profiles.Merge (DESIGN.md §12): cross-shard
    aggregation must be a pure fold — the merged aggregate is
    byte-identical however the job set is sharded, however the shards
    are merged, and whichever engine produced the per-job profiles.
